@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discharging import ChargeState, Element, Transfer, element_label, face, vertex
+from .discharging import ChargeState, Element, Transfer, face, vertex
 from .oneplanar import AssociatedPlaneGraph
 
 
@@ -308,7 +308,3 @@ def _check_big_face_payments(
             if got < ONE_THIRD:
                 failures.append(f"f{i} paid v{v} {got}, needs {ONE_THIRD}")
     return CheckOutcome("big-face-payments", instances, tuple(failures))
-
-
-def describe_negative(negative: tuple[tuple[Element, Fraction], ...]) -> list[str]:
-    return [f"{element_label(el)} = {charge}" for el, charge in negative]

@@ -33,9 +33,8 @@ from .lightedge import (
     PROFILES,
     WITNESS_FOUND,
     check_light_edge_guarantee,
-    find_light_edges,
 )
-from .oneplanar import AssociatedPlaneGraph, drawing_diagnostics, recover_original, validate
+from .oneplanar import drawing_diagnostics, recover_original, validate
 
 EX_OK = 0
 EX_INVALID = 1
@@ -92,10 +91,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str) -> AssociatedPlaneGraph:
-    return graphio.load(path)
-
-
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -130,33 +125,41 @@ def _text_lines(report: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _validation_report(g: AssociatedPlaneGraph, path: str) -> tuple[dict, bool]:
-    rep = validate(g)
-    diag = drawing_diagnostics(g)
-    doc = {
-        "command": "validate",
-        "input": path,
+def _validation_doc(args, g, rep) -> dict:
+    return {
+        "command": args.command,
+        "input": args.input,
         "valid": rep.ok,
         "violations": [str(v) for v in rep.violations],
-        "diagnostics": [str(f) for f in diag.flags],
+        "diagnostics": [str(f) for f in drawing_diagnostics(g).flags],
     }
-    return doc, rep.ok
 
 
 def _cmd_validate(args) -> int:
-    g = _load(args.input)
-    doc, ok = _validation_report(g, args.input)
-    _emit(doc, args.format)
-    return EX_OK if ok else EX_INVALID
+    g = graphio.load(args.input)
+    rep = validate(g)
+    _emit(_validation_doc(args, g, rep), args.format)
+    return EX_OK if rep.ok else EX_INVALID
 
 
-def _cmd_recover(args) -> int:
-    g = _load(args.input)
-    doc, ok = _validation_report(g, args.input)
-    if not ok:
-        doc["command"] = "recover"
-        _emit(doc, args.format)
-        return EX_INVALID
+def _on_valid_drawing(command):
+    """Run `command(args, g)` on the input drawing g when it is valid;
+    otherwise print its validation report under the command's name and
+    exit 1. Diagnostics are computed only for a printed report."""
+
+    def run(args) -> int:
+        g = graphio.load(args.input)
+        rep = validate(g)
+        if not rep.ok:
+            _emit(_validation_doc(args, g, rep), args.format)
+            return EX_INVALID
+        return command(args, g)
+
+    return run
+
+
+@_on_valid_drawing
+def _cmd_recover(args, g) -> int:
     view = recover_original(g)
     doc = {
         "command": "recover",
@@ -178,15 +181,9 @@ def _witness_dict(w) -> dict:
     }
 
 
-def _cmd_light_edges(args) -> int:
-    g = _load(args.input)
-    doc, ok = _validation_report(g, args.input)
-    if not ok:
-        doc["command"] = "light-edges"
-        _emit(doc, args.format)
-        return EX_INVALID
+@_on_valid_drawing
+def _cmd_light_edges(args, g) -> int:
     verdict = check_light_edge_guarantee(g, args.profile)
-    witnesses = find_light_edges(recover_original(g), args.profile)
     doc = {
         "command": "light-edges",
         "input": args.input,
@@ -194,7 +191,7 @@ def _cmd_light_edges(args) -> int:
         "status": verdict.status,
         "min_degree": verdict.min_degree,
         "witness": _witness_dict(verdict.witness) if verdict.witness else None,
-        "light_edges": [_witness_dict(w) for w in witnesses],
+        "light_edges": [_witness_dict(w) for w in verdict.light_edges],
     }
     _emit(doc, args.format)
     if verdict.status == WITNESS_FOUND:
@@ -204,24 +201,20 @@ def _cmd_light_edges(args) -> int:
     return EX_CANDIDATE
 
 
-def _cmd_discharge(args) -> int:
-    g = _load(args.input)
-    doc, ok = _validation_report(g, args.input)
-    if not ok:
-        doc["command"] = "discharge"
-        _emit(doc, args.format)
-        return EX_INVALID
+@_on_valid_drawing
+def _cmd_discharge(args, g) -> int:
     init = initial_charges(g)
-    final, transfers = apply_discharging(g)
+    final, transfers = apply_discharging(g, init)
+    initial_total, final_total = init.total(), final.total()
     rule_counts: dict[str, int] = {}
     for t in transfers:
         rule_counts[t.rule] = rule_counts.get(t.rule, 0) + 1
     doc = {
         "command": "discharge",
         "input": args.input,
-        "initial_total": str(init.total()),
-        "final_total": str(final.total()),
-        "conserved": final.total() == init.total(),
+        "initial_total": str(initial_total),
+        "final_total": str(final_total),
+        "conserved": final_total == initial_total,
         "transfers": len(transfers),
         "rule_counts": dict(sorted(rule_counts.items())),
     }
@@ -232,13 +225,8 @@ def _cmd_discharge(args) -> int:
     return EX_OK
 
 
-def _cmd_audit(args) -> int:
-    g = _load(args.input)
-    doc, ok = _validation_report(g, args.input)
-    if not ok:
-        doc["command"] = "audit"
-        _emit(doc, args.format)
-        return EX_INVALID
+@_on_valid_drawing
+def _cmd_audit(args, g) -> int:
     final, transfers = apply_discharging(g)
     report = run_audit(g, final, transfers)
     doc = {

@@ -65,21 +65,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .oneplanar import AssociatedPlaneGraph, OriginalGraphView, recover_original
+from .oneplanar import AssociatedPlaneGraph, recover_original
 
 # An element of the charge ledger: ("v", vertex id) or ("f", face index).
 Element = tuple[str, int]
 
-RULES = ("R1", "R2", "R3", "R4", "R5", "R6.1", "R6.2", "R6.3", "R6.4", "R7", "R8")
-
 SPECIAL_PARTNER_BOUND = {4: 11, 5: 9, 6: 8}
-
-# R6 amounts per band: (3-face both far endpoints small, 3-face one far
-# endpoint small, 4+-face sender).
-_R6_BANDS = (
-    ("R6.3", 10, 11, Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)),
-    ("R6.4", 9, 9, Fraction(1, 18), Fraction(1, 9), Fraction(5, 18)),
-)
 
 
 def vertex(v: int) -> Element:
@@ -164,12 +155,10 @@ def _crossing_corners(g: AssociatedPlaneGraph, v: int) -> list[tuple[int, int, i
     return out
 
 
-def find_special_faces(
-    g: AssociatedPlaneGraph, original: OriginalGraphView | None = None
-) -> list[SpecialFace]:
+def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     """All (false 3-face, pivot) records, trying both true corners."""
     emb = g.embedding
-    view = original if original is not None else recover_original(g)
+    view = recover_original(g)
     records = []
     for v in sorted(g.false_vertices):
         for near_a, near_b, far_a, far_b, f in _crossing_corners(g, v):
@@ -315,10 +304,15 @@ def _apply(charges: dict[Element, Fraction], transfers: list[Transfer]) -> None:
         charges[t.target] += t.amount
 
 
-def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transfer]]:
-    """Run all rules and return the final state plus the full ledger."""
+def apply_discharging(
+    g: AssociatedPlaneGraph, initial: ChargeState | None = None
+) -> tuple[ChargeState, list[Transfer]]:
+    """Run all rules and return the final state plus the full ledger.
+
+    `initial` is `initial_charges(g)`, when the caller already holds it.
+    """
     emb = g.embedding
-    charges = dict(initial_charges(g).charges)
+    charges = dict((initial if initial is not None else initial_charges(g)).charges)
 
     transfers = _phase_a(g, find_special_faces(g))
     _apply(charges, transfers)

@@ -7,9 +7,10 @@ A drawing is stored as a single JSON object:
       "rotation": {"0": [1, 2, 3], ...}
     }
 
-Vertex ids must be dense from 0. Rotation lists keep their stored
-starting neighbor, so parse -> serialize -> parse is the identity and
-serialization of a given drawing is byte-stable.
+Vertex ids must be dense from 0. Ids and rotation neighbors must be JSON
+integers; `true` and `false` are rejected there. Rotation lists keep
+their stored starting neighbor, so parse -> serialize -> parse is the
+identity and serialization of a given drawing is byte-stable.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def loads(text: str) -> AssociatedPlaneGraph:
     false_vertices: set[int] = set()
     ids: set[int] = set()
     for entry in vertices:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), int) or entry["id"] < 0:
+        if not isinstance(entry, dict) or type(entry.get("id")) is not int or entry["id"] < 0:
             raise GraphFormatError(f"vertex entry {entry!r} needs a non-negative integer 'id'")
         if not isinstance(entry.get("false"), bool):
             raise GraphFormatError(f"vertex {entry['id']} needs a boolean 'false' mark")
@@ -79,7 +80,7 @@ def loads(text: str) -> AssociatedPlaneGraph:
             raise GraphFormatError(f"rotation key {key!r} is not an integer") from None
         if v not in ids:
             raise GraphFormatError(f"rotation key {v} is not a declared vertex")
-        if not isinstance(nbrs, list) or not all(isinstance(u, int) for u in nbrs):
+        if not isinstance(nbrs, list) or not all(type(u) is int for u in nbrs):
             raise GraphFormatError(f"rotation of vertex {v} must be a list of integers")
         rotation[v] = tuple(nbrs)
     missing = ids - set(rotation)

@@ -91,6 +91,8 @@ COUNTEREXAMPLE_CANDIDATE = "counterexample-candidate"
 class GuaranteeVerdict:
     """Outcome of searching a valid drawing for its guaranteed light edge.
 
+    `light_edges` lists every light edge of the recovered graph, as
+    `find_light_edges` orders them, whatever the status.
     `counterexample-candidate` never occurs for a valid drawing of a
     minimum-degree-3 graph; when it does appear, the validation and
     diagnostics reports are attached so the input (or the engine) can be
@@ -102,6 +104,7 @@ class GuaranteeVerdict:
     witness: LightEdgeWitness | None = None
     validation: ValidationReport | None = None
     diagnostics: DiagnosticsReport | None = None
+    light_edges: tuple[LightEdgeWitness, ...] = ()
 
 
 def check_light_edge_guarantee(
@@ -110,20 +113,19 @@ def check_light_edge_guarantee(
     """Search for a guaranteed light edge in a valid drawing.
 
     Requires minimum degree 3 in the recovered graph (4 under "thm11");
-    anything lower is reported as hypothesis-unmet rather than searched.
+    anything lower is reported as hypothesis-unmet, with no witness.
+    The edges are classified once, for the witness and `light_edges`.
     """
     view = recover_original(g)
-    needed = min(PROFILES[profile])
-    if view.min_degree() < needed:
-        return GuaranteeVerdict(status=HYPOTHESIS_UNMET, min_degree=view.min_degree())
-    witnesses = find_light_edges(view, profile)
+    min_degree = view.min_degree()
+    witnesses = tuple(find_light_edges(view, profile))
+    if min_degree < min(PROFILES[profile]):
+        return GuaranteeVerdict(HYPOTHESIS_UNMET, min_degree, light_edges=witnesses)
     if witnesses:
-        return GuaranteeVerdict(
-            status=WITNESS_FOUND, min_degree=view.min_degree(), witness=witnesses[0]
-        )
+        return GuaranteeVerdict(WITNESS_FOUND, min_degree, witnesses[0], light_edges=witnesses)
     return GuaranteeVerdict(
         status=COUNTEREXAMPLE_CANDIDATE,
-        min_degree=view.min_degree(),
+        min_degree=min_degree,
         validation=validate(g),
         diagnostics=drawing_diagnostics(g),
     )

@@ -19,6 +19,7 @@ validation violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .embedding import PlaneEmbedding, RotationSystem, build_embedding
 
@@ -37,6 +38,12 @@ class AssociatedPlaneGraph:
 
     embedding: PlaneEmbedding
     false_vertices: frozenset[int]
+
+    @cached_property
+    def _straightened(self) -> tuple[frozenset[tuple[int, int]], tuple[Violation, ...]]:
+        """Derived once per drawing, on first use, for `validate` and
+        `recover_original`."""
+        return _straighten(self)
 
     @property
     def true_vertices(self) -> list[int]:
@@ -93,8 +100,9 @@ RECOVERED_MULTI_EDGE = "recovered-multi-edge"
 def _follow_segment(g: AssociatedPlaneGraph, start: int, toward: int) -> tuple[int, ...] | None:
     """Walk straight through false vertices from `start` in direction `toward`.
 
-    Returns the vertex path ending at the first true vertex, or None if
-    the walk cycles through false vertices without reaching one.
+    Returns the vertex path ending at the first true vertex, None if the
+    walk cycles through false vertices without reaching one, or an empty
+    path if it meets a false vertex whose degree is not 4.
     """
     rot = g.embedding.rotation.rotation
     path = [start, toward]
@@ -102,7 +110,7 @@ def _follow_segment(g: AssociatedPlaneGraph, start: int, toward: int) -> tuple[i
     budget = len(rot) + 1
     while g.is_false(cur):
         if len(rot[cur]) != 4:
-            raise ValueError(f"false vertex {cur} has degree {len(rot[cur])}, not 4")
+            return ()
         budget -= 1
         if budget == 0:
             return None
@@ -113,15 +121,17 @@ def _follow_segment(g: AssociatedPlaneGraph, start: int, toward: int) -> tuple[i
     return tuple(path)
 
 
-def _original_edge_instances(
+def _straighten(
     g: AssociatedPlaneGraph,
-) -> tuple[list[tuple[int, int]], list[Violation]]:
-    """Every original-edge instance, one per direct edge or crossing segment.
+) -> tuple[frozenset[tuple[int, int]], tuple[Violation, ...]]:
+    """The recovered edges, as ordered pairs, and the violations
+    straightening finds.
 
-    Duplicated endpoint pairs in the returned list are multi-edges of the
-    recovered graph; pairs with equal endpoints are loops. Segment walks
-    that cycle through false vertices are reported as violations and
-    produce no instance.
+    Each direct edge or crossing segment is one original-edge instance;
+    equal endpoints make a loop and a repeated pair a multi-edge. Segment
+    walks that cycle through false vertices are violations and produce no
+    instance; so do, unreported, walks that meet a false vertex of degree
+    other than 4, which validate() flags on its own.
     """
     rot = g.embedding.rotation.rotation
     problems: list[Violation] = []
@@ -146,13 +156,25 @@ def _original_edge_instances(
                     Violation(FALSE_CYCLE, (f,), "crossing segment cycles through false vertices")
                 )
                 continue
+            if not half_a or not half_b:
+                continue
             path = tuple(reversed(half_a)) + half_b[1:]
             key = min(path, path[::-1])
             if key in seen_paths:
                 continue  # same segment discovered from another false vertex on it
             seen_paths.add(key)
             instances.append((path[0], path[-1]))
-    return instances, problems
+
+    edges: set[tuple[int, int]] = set()
+    for a, b in instances:
+        if a == b:
+            problems.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
+            continue
+        key = (min(a, b), max(a, b))
+        if key in edges:
+            problems.append(Violation(RECOVERED_MULTI_EDGE, key, "recovered edge appears twice"))
+        edges.add(key)
+    return frozenset(edges), tuple(problems)
 
 
 def validate(g: AssociatedPlaneGraph) -> ValidationReport:
@@ -174,24 +196,18 @@ def validate(g: AssociatedPlaneGraph) -> ValidationReport:
             if g.is_false(u) and f < u:
                 violations.append(Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent"))
 
-    instances, problems = _original_edge_instances(g)
-    violations.extend(problems)
-    seen: set[tuple[int, int]] = set()
-    for a, b in instances:
-        if a == b:
-            violations.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
-            continue
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            violations.append(Violation(RECOVERED_MULTI_EDGE, key, "recovered edge appears twice"))
-        seen.add(key)
-
+    violations.extend(g._straightened[1])
     return ValidationReport(tuple(violations))
 
 
 @dataclass(frozen=True)
 class OriginalGraphView:
-    """The abstract graph obtained by straightening all crossings."""
+    """The abstract graph obtained by straightening all crossings.
+
+    The set of `edges`, with each pair ordered, is derived once, on the
+    first `has_edge` call, so every later lookup takes constant time and
+    always agrees with `edges`.
+    """
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -203,35 +219,31 @@ class OriginalGraphView:
     def min_degree(self) -> int:
         return min(self.degrees.values())
 
+    @cached_property
+    def _edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset((min(a, b), max(a, b)) for a, b in self.edges)
+
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in set(self.edges)
+        return (min(a, b), max(a, b)) in self._edge_set
 
 
 def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
     """Undo the planarization, returning the original simple graph.
 
     Raises RecoveredLoop or RecoveredMultiEdge when straightening breaks
-    simplicity, which signals an invalid drawing.
+    simplicity, which signals an invalid drawing. The straightening is
+    derived once per drawing and shared with `validate`.
     """
-    instances, problems = _original_edge_instances(g)
+    edges, problems = g._straightened
     if problems:
-        raise RecoveredLoop(str(problems[0]))
-    edges: set[tuple[int, int]] = set()
-    for a, b in instances:
-        if a == b:
-            raise RecoveredLoop(f"crossing straightens to a loop at vertex {a}")
-        key = (min(a, b), max(a, b))
-        if key in edges:
-            raise RecoveredMultiEdge(f"recovered edge {key} appears twice")
-        edges.add(key)
-
+        error = RecoveredMultiEdge if problems[0].kind == RECOVERED_MULTI_EDGE else RecoveredLoop
+        raise error(str(problems[0]))
     vertices = tuple(g.true_vertices)
     degrees = {v: 0 for v in vertices}
     for a, b in edges:
         degrees[a] += 1
         degrees[b] += 1
-    edge_set = frozenset(edges)
-    return OriginalGraphView(vertices=vertices, edges=tuple(sorted(edge_set)), degrees=degrees)
+    return OriginalGraphView(vertices=vertices, edges=tuple(sorted(edges)), degrees=degrees)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from gadgets import squeezed_gadget
 from oneplane import graphio
 from oneplane.cli import main
 from oneplane.generators import catalog
@@ -53,6 +54,34 @@ def test_validate_broken_input_exits_one(broken_file, capsys):
 def test_validate_clean_input(k5_file, capsys):
     assert main(["validate", k5_file]) == 0
     assert "valid: True" in capsys.readouterr().out
+
+
+def test_validate_json_on_valid_input_lists_no_diagnostics(k5_file, capsys):
+    assert main(["validate", k5_file, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["valid"] is True
+    assert doc["violations"] == [] and doc["diagnostics"] == []
+
+
+def test_validate_reports_segment_into_false_vertex_of_wrong_degree(tmp_path, capsys):
+    rot = {0: [1, 2, 3, 4], 1: [0, 4, 2], 2: [0, 1, 3], 3: [0, 2, 4], 4: [0, 3, 1]}
+    path = tmp_path / "wrong-degree.json"
+    graphio.save(build_drawing(rot, {0, 1}), path)
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    kinds = {v.split()[0] for v in doc["violations"]}
+    assert kinds == {"false-vertex-degree", "adjacent-false-vertices"}
+
+
+@pytest.mark.parametrize("command", ["recover", "light-edges", "discharge", "audit"])
+def test_invalid_input_gets_the_validation_report(command, tmp_path, capsys):
+    path = tmp_path / "squeezed.json"
+    graphio.save(squeezed_gadget(), path)  # fails with recovered-multi-edge
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    expected = json.loads(capsys.readouterr().out)
+    assert expected["diagnostics"]
+    assert main([command, str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {**expected, "command": command}
 
 
 def test_light_edges_json_lists_ten_t4_witnesses(k5_file, capsys):
@@ -125,6 +154,17 @@ def test_parse_error_names_byte_offset(tmp_path, capsys):
     bad.write_text('{"vertices": [}', encoding="utf-8")
     assert main(["validate", str(bad)]) == 65
     assert "byte 14" in capsys.readouterr().err
+
+
+def test_boolean_neighbor_is_a_data_error(tmp_path, capsys):
+    doc = {
+        "vertices": [{"id": 0, "false": False}, {"id": 1, "false": False}],
+        "rotation": {"0": [True], "1": [0]},
+    }
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 65
+    assert "list of integers" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_data_error(capsys):

@@ -64,6 +64,11 @@ def test_byte_offset_counts_bytes_not_characters():
         '{"vertices": [{"id": 0, "false": false}, {"id": 0, "false": false}], "rotation": {"0": []}}',
         '{"vertices": [{"id": 0, "false": false}], "rotation": {"x": []}}',
         '{"vertices": [{"id": 0, "false": false}], "rotation": {}}',
+        # booleans are not vertex ids or neighbors, though Python counts them as ints
+        '{"vertices": [{"id": 0, "false": false}, {"id": true, "false": false}],'
+        ' "rotation": {"0": [1], "1": [0]}}',
+        '{"vertices": [{"id": 0, "false": false}, {"id": 1, "false": false}],'
+        ' "rotation": {"0": [true], "1": [0]}}',
     ],
 )
 def test_schema_violations_rejected(doc):

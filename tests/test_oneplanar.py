@@ -21,6 +21,7 @@ from oneplane.oneplanar import (
     RECOVERED_LOOP,
     RECOVERED_MULTI_EDGE,
     SQUEEZED_3_VERTEX,
+    OriginalGraphView,
     RecoveredLoop,
     RecoveredMultiEdge,
     build_drawing,
@@ -52,6 +53,14 @@ def test_false_degree_three_flagged():
     assert report.kinds() == {FALSE_DEGREE}
 
 
+def test_segment_into_false_vertex_of_wrong_degree_is_reported():
+    # false vertex 0 (degree 4) next to false vertex 1 (degree 3): the
+    # segment from 0 through 1 yields no edge, and nothing is raised
+    rot = {0: [1, 2, 3, 4], 1: [0, 4, 2], 2: [0, 1, 3], 3: [0, 2, 4], 4: [0, 3, 1]}
+    report = validate(build_drawing(rot, {0, 1}))
+    assert report.kinds() == {FALSE_DEGREE, ADJACENT_FALSE}
+
+
 def test_recover_identity_without_crossings():
     view = recover_original(build_drawing(K4))
     assert view.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -66,6 +75,25 @@ def test_recover_k5_from_catalog_drawing():
     assert sorted(view.degrees.values()) == [4] * 5
     # true-vertex degrees agree between the drawing and the recovery
     assert all(view.degree(v) == g.embedding.degree(v) for v in view.vertices)
+
+
+def test_has_edge_agrees_with_edges():
+    g = catalog("cube-plus-diagonals")
+    view = recover_original(g)
+    edges = set(view.edges)
+    ids = sorted(g.embedding.rotation.rotation)
+    assert len(edges) < len(view.vertices) * (len(view.vertices) - 1) // 2  # has non-edges
+    for a in ids:
+        for b in ids:
+            assert view.has_edge(a, b) == ((min(a, b), max(a, b)) in edges), (a, b)
+    assert not any(view.has_edge(f, v) for f in g.false_vertices for v in ids)
+
+
+def test_has_edge_on_directly_constructed_view():
+    view = OriginalGraphView(vertices=(0, 1, 2), edges=((2, 0), (0, 1)), degrees={0: 2, 1: 1, 2: 1})
+    assert view.has_edge(0, 2) and view.has_edge(2, 0)
+    assert view.has_edge(1, 0) and view.has_edge(0, 1)
+    assert not view.has_edge(1, 2) and not view.has_edge(2, 1)
 
 
 def test_coincident_recovered_edges_raise():
