@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discharging import ChargeState, Element, Transfer, face, vertex
+from .discharging import ChargeState, Element, Transfer, transitive_corners
 from .oneplanar import AssociatedPlaneGraph
 
 
@@ -83,25 +83,6 @@ def _r5_fraction(d: int) -> Fraction:
     return Fraction(d - 4, d)
 
 
-def _transitive_corners(g: AssociatedPlaneGraph) -> dict[tuple[int, int], Fraction]:
-    """pi+ per (face, false vertex): summed over its transitive corners."""
-    emb = g.embedding
-    inflow: dict[tuple[int, int], Fraction] = {}
-    for i in range(emb.face_count()):
-        walk = emb.faces[i]
-        n = len(walk)
-        for j in range(n):
-            prev, v, nxt = walk[j - 1][0], walk[j][0], walk[j][1]
-            if not g.is_false(v):
-                continue
-            if min(emb.degree(prev), emb.degree(nxt)) < 9:
-                continue
-            contribution = _r5_fraction(emb.degree(prev)) + _r5_fraction(emb.degree(nxt))
-            key = (i, v)
-            inflow[key] = inflow.get(key, Fraction(0)) + contribution
-    return inflow
-
-
 def audit(
     g: AssociatedPlaneGraph, final: ChargeState, transfers: list[Transfer]
 ) -> AuditReport:
@@ -131,7 +112,10 @@ def audit(
         i: FaceFlow(received_heavy[i], sent_via[i]) for i in range(emb.face_count())
     }
 
-    inflow = _transitive_corners(g)
+    inflow: dict[tuple[int, int], Fraction] = {}  # pi+, summed over transitive corners
+    for i, prev, v, nxt in transitive_corners(g):
+        contribution = _r5_fraction(emb.degree(prev)) + _r5_fraction(emb.degree(nxt))
+        inflow[(i, v)] = inflow.get((i, v), Fraction(0)) + contribution
     crossing_flow = tuple(
         CrossingFlow(f, v, inflow.get((f, v), Fraction(0)), routed.get((f, v), Fraction(0)))
         for f, v in sorted(set(inflow) | set(routed))

@@ -131,7 +131,7 @@ def _validation_doc(args, g, rep) -> dict:
         "input": args.input,
         "valid": rep.ok,
         "violations": [str(v) for v in rep.violations],
-        "diagnostics": [str(f) for f in drawing_diagnostics(g).flags],
+        "diagnostics": [str(v) for v in drawing_diagnostics(g).violations],
     }
 
 

@@ -37,8 +37,8 @@ R6 in detail. Around a false vertex v with rotation (n0, n1, n2, n3) the
 original edges pair opposite neighbors. For each corner face f at v
 between consecutive neighbors A, B, write a and b for the neighbors
 opposite A and B, and m = min(deg(A), deg(B)). The sub-rule is chosen by
-the band of m and fires at most once per (v, corner), covering both
-orientations of the stated rule:
+the band of m, as listed in the table `R6_BANDS`, and fires at most once
+per (v, corner), covering both orientations of the stated rule:
 
   R6.1  m >= 24: if deg(a) = deg(b) = 3, f sends 1/6 through v to each
         of the two adjacent corner faces and to a and b; if exactly one
@@ -65,12 +65,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .oneplanar import AssociatedPlaneGraph, recover_original
+from .oneplanar import (
+    AssociatedPlaneGraph,
+    CrossingNeighborhood,
+    crossing_neighborhoods,
+    recover_original,
+)
 
 # An element of the charge ledger: ("v", vertex id) or ("f", face index).
 Element = tuple[str, int]
 
 SPECIAL_PARTNER_BOUND = {4: 11, 5: 9, 6: 8}
+
+# R6 bands, highest first: (least m, rule, amounts). R6.1 amounts are
+# (each of four targets, each of two targets); R6.2-R6.4 amounts are
+# (3-face sender to both faces, 3-face sender to one face, 4+-face
+# sender to each face). Below the last band nothing is routed.
+R6_BANDS = (
+    (24, "R6.1", (Fraction(1, 6), Fraction(1, 3))),
+    (12, "R6.2", (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3))),
+    (10, "R6.3", (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))),
+    (9, "R6.4", (Fraction(1, 18), Fraction(1, 9), Fraction(5, 18))),
+)
 
 
 def vertex(v: int) -> Element:
@@ -137,31 +153,13 @@ class SpecialFace:
     far_endpoints: tuple[int, int]
 
 
-def _crossing_corners(g: AssociatedPlaneGraph, v: int) -> list[tuple[int, int, int, int, int]]:
-    """Per corner of false vertex v: (A, B, a, b, corner face index).
-
-    A and B are rotation-consecutive neighbors; a and b are their
-    opposite neighbors, the far endpoints of the two original edges.
-    """
-    emb = g.embedding
-    r = emb.rotation.rotation[v]
-    if len(r) != 4:
-        raise ValueError(f"false vertex {v} has degree {len(r)}, not 4")
-    out = []
-    for i in range(4):
-        a_near, b_near = r[i], r[(i + 1) % 4]
-        a_far, b_far = r[(i + 2) % 4], r[(i + 3) % 4]
-        out.append((a_near, b_near, a_far, b_far, emb.face_of[(v, b_near)]))
-    return out
-
-
 def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     """All (false 3-face, pivot) records, trying both true corners."""
     emb = g.embedding
     view = recover_original(g)
     records = []
-    for v in sorted(g.false_vertices):
-        for near_a, near_b, far_a, far_b, f in _crossing_corners(g, v):
+    for hood in crossing_neighborhoods(g):
+        for near_a, near_b, far_a, far_b, f in hood.corners():
             if emb.face_degree(f) != 3:
                 continue
             # both corner vertices are candidate pivots; the pivot's own
@@ -181,31 +179,28 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     return records
 
 
-def _face_corner_triples(emb, i: int) -> list[tuple[int, int, int]]:
-    """(previous tail, vertex, next tail) for every position on face i."""
-    walk = emb.faces[i]
-    n = len(walk)
-    return [(walk[j - 1][0], walk[j][0], walk[j][1]) for j in range(n)]
+def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
+    """(face, previous tail, false vertex, next tail) for every position
+    on every face where a false vertex sits between two face-neighbors
+    of degree at least 9, in face order and walk order."""
+    emb = g.embedding
+    deg = emb.degree
+    out = []
+    for i, walk in enumerate(emb.faces):
+        for j, (v, nxt) in enumerate(walk):
+            prev = walk[j - 1][0]
+            if g.is_false(v) and min(deg(prev), deg(nxt)) >= 9:
+                out.append((i, prev, v, nxt))
+    return out
 
 
 def find_transitive_false_vertices(g: AssociatedPlaneGraph) -> dict[int, tuple[int, ...]]:
     """Per face, the false vertices both of whose face-neighbors have
     degree at least 9. Only these may route R6 transfers off the face."""
-    emb = g.embedding
-    out: dict[int, tuple[int, ...]] = {}
-    for i in range(emb.face_count()):
-        found = [
-            v
-            for prev, v, nxt in _face_corner_triples(emb, i)
-            if g.is_false(v) and min(emb.degree(prev), emb.degree(nxt)) >= 9
-        ]
-        if found:
-            out[i] = tuple(dict.fromkeys(found))
-    return out
-
-
-def _special_pivot_keys(specials: list[SpecialFace]) -> set[tuple[int, int]]:
-    return {(s.pivot, s.face) for s in specials}
+    out: dict[int, dict[int, None]] = {}
+    for i, _, v, _ in transitive_corners(g):
+        out.setdefault(i, {})[v] = None
+    return {i: tuple(found) for i, found in out.items()}
 
 
 def _corner_3faces(emb, v: int) -> list[int]:
@@ -217,7 +212,7 @@ def _corner_3faces(emb, v: int) -> list[int]:
 def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Transfer]:
     emb = g.embedding
     transfers: list[Transfer] = []
-    pivot_keys = _special_pivot_keys(specials)
+    pivot_keys = {(s.pivot, s.face) for s in specials}
 
     for s in specials:
         if s.k == 4:
@@ -243,58 +238,47 @@ def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Trans
             for f in emb.corner_faces(v):
                 transfers.append(Transfer("R5", vertex(v), face(f), amt))
 
-    for v in sorted(g.false_vertices):
-        transfers.extend(_route_through_crossing(g, v))
+    for hood in crossing_neighborhoods(g):
+        transfers.extend(_route_through_crossing(g, hood))
     return transfers
 
 
-def _route_through_crossing(g: AssociatedPlaneGraph, v: int) -> list[Transfer]:
+def _route_through_crossing(g: AssociatedPlaneGraph, hood: CrossingNeighborhood) -> list[Transfer]:
     """R6 transfers for every sending corner of one false vertex."""
     emb = g.embedding
     deg = emb.degree
-    corners = _crossing_corners(g, v)
+    corners = hood.corners()
     transfers: list[Transfer] = []
     for i, (near_a, near_b, far_a, far_b, f1) in enumerate(corners):
         m = min(deg(near_a), deg(near_b))
-        if m < 9:
+        for least, rule, amounts in R6_BANDS:
+            if m >= least:
+                break
+        else:
             continue
         src = face(f1)
         beyond_a = face(corners[(i + 1) % 4][4])  # corner face past far_a
         beyond_b = face(corners[(i - 1) % 4][4])  # corner face past far_b
         da, db = deg(far_a), deg(far_b)
 
-        if m >= 24:
+        if rule == "R6.1":
             if da == 3 and db == 3:
-                for target in (beyond_a, beyond_b, vertex(far_a), vertex(far_b)):
-                    transfers.append(Transfer("R6.1", src, target, Fraction(1, 6), via=v))
+                targets, amt = (beyond_a, beyond_b, vertex(far_a), vertex(far_b)), amounts[0]
             elif da == 3:
-                for target in (beyond_a, vertex(far_a)):
-                    transfers.append(Transfer("R6.1", src, target, Fraction(1, 3), via=v))
+                targets, amt = (beyond_a, vertex(far_a)), amounts[1]
             elif db == 3:
-                for target in (beyond_b, vertex(far_b)):
-                    transfers.append(Transfer("R6.1", src, target, Fraction(1, 3), via=v))
-            continue
-
-        if 12 <= m <= 23:
-            rule, both_amt, single_amt, big_amt = "R6.2", Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)
-        elif 10 <= m <= 11:
-            rule, both_amt, single_amt, big_amt = "R6.3", Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)
-        else:  # m == 9
-            rule, both_amt, single_amt, big_amt = "R6.4", Fraction(1, 18), Fraction(1, 9), Fraction(5, 18)
-
-        if da > 6 and db > 6:
-            continue
-        if emb.face_degree(f1) == 3:
-            if da <= 6 and db <= 6:
-                transfers.append(Transfer(rule, src, beyond_a, both_amt, via=v))
-                transfers.append(Transfer(rule, src, beyond_b, both_amt, via=v))
-            elif da <= 6:
-                transfers.append(Transfer(rule, src, beyond_a, single_amt, via=v))
+                targets, amt = (beyond_b, vertex(far_b)), amounts[1]
             else:
-                transfers.append(Transfer(rule, src, beyond_b, single_amt, via=v))
+                continue
+        elif da > 6 and db > 6:
+            continue
+        elif emb.face_degree(f1) != 3:
+            targets, amt = (beyond_a, beyond_b), amounts[2]
+        elif da <= 6 and db <= 6:
+            targets, amt = (beyond_a, beyond_b), amounts[0]
         else:
-            transfers.append(Transfer(rule, src, beyond_a, big_amt, via=v))
-            transfers.append(Transfer(rule, src, beyond_b, big_amt, via=v))
+            targets, amt = (beyond_a if da <= 6 else beyond_b,), amounts[1]
+        transfers.extend(Transfer(rule, src, t, amt, via=hood.false_vertex) for t in targets)
     return transfers
 
 

@@ -1,4 +1,4 @@
-"""On-disk formats: the graph JSON document and ledger line rendering.
+"""On-disk format: the graph JSON document.
 
 A drawing is stored as a single JSON object:
 
@@ -8,7 +8,9 @@ A drawing is stored as a single JSON object:
     }
 
 Vertex ids must be dense from 0. Ids and rotation neighbors must be JSON
-integers; `true` and `false` are rejected there. Rotation lists keep
+integers; `true` and `false` are rejected there. A rotation key must be
+the id written in its canonical decimal form ("1", not " 1", "01" or
+"+1"), and no object may repeat a key. Rotation lists keep
 their stored starting neighbor, so parse -> serialize -> parse is the
 identity and serialization of a given drawing is byte-stable.
 """
@@ -16,6 +18,7 @@ identity and serialization of a given drawing is byte-stable.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 from .oneplanar import AssociatedPlaneGraph, build_drawing
@@ -38,10 +41,18 @@ def _format_error(text: str, err: json.JSONDecodeError) -> GraphFormatError:
     return GraphFormatError(f"invalid JSON at byte {offset}: {err.msg}", offset)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        raise GraphFormatError(f"duplicate key {repeated[0]!r}")
+    return obj
+
+
 def loads(text: str) -> AssociatedPlaneGraph:
     """Parse the graph JSON document and build the embedded drawing."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise _format_error(text, err) from None
 
@@ -73,13 +84,11 @@ def loads(text: str) -> AssociatedPlaneGraph:
     if not isinstance(rotation_doc, dict):
         raise GraphFormatError("'rotation' must be an object keyed by vertex id")
     rotation: dict[int, tuple[int, ...]] = {}
+    id_of_key = {str(v): v for v in ids}
     for key, nbrs in rotation_doc.items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise GraphFormatError(f"rotation key {key!r} is not an integer") from None
-        if v not in ids:
-            raise GraphFormatError(f"rotation key {v} is not a declared vertex")
+        if key not in id_of_key:
+            raise GraphFormatError(f"rotation key {key!r} is not a declared vertex id")
+        v = id_of_key[key]
         if not isinstance(nbrs, list) or not all(type(u) is int for u in nbrs):
             raise GraphFormatError(f"rotation of vertex {v} must be a list of integers")
         rotation[v] = tuple(nbrs)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .oneplanar import (
     AssociatedPlaneGraph,
-    DiagnosticsReport,
     OriginalGraphView,
     ValidationReport,
     drawing_diagnostics,
@@ -103,7 +102,7 @@ class GuaranteeVerdict:
     min_degree: int
     witness: LightEdgeWitness | None = None
     validation: ValidationReport | None = None
-    diagnostics: DiagnosticsReport | None = None
+    diagnostics: ValidationReport | None = None
     light_edges: tuple[LightEdgeWitness, ...] = ()
 
 

@@ -79,6 +79,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The one report type, for both `validate` and `drawing_diagnostics`;
+    `ok` means no violation was found."""
+
     violations: tuple[Violation, ...]
 
     @property
@@ -95,6 +98,9 @@ ADJACENT_FALSE = "adjacent-false-vertices"
 FALSE_CYCLE = "false-vertex-cycle"
 RECOVERED_LOOP = "recovered-loop"
 RECOVERED_MULTI_EDGE = "recovered-multi-edge"
+
+# The exception recover_original raises for the first violation of a kind.
+_RECOVERY_ERRORS = {RECOVERED_LOOP: RecoveredLoop, RECOVERED_MULTI_EDGE: RecoveredMultiEdge}
 
 
 def _follow_segment(g: AssociatedPlaneGraph, start: int, toward: int) -> tuple[int, ...] | None:
@@ -231,13 +237,13 @@ def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
     """Undo the planarization, returning the original simple graph.
 
     Raises RecoveredLoop or RecoveredMultiEdge when straightening breaks
-    simplicity, which signals an invalid drawing. The straightening is
-    derived once per drawing and shared with `validate`.
+    simplicity, and a plain ValueError when a crossing segment cycles
+    through false vertices; each signals an invalid drawing. The
+    straightening is derived once per drawing and shared with `validate`.
     """
     edges, problems = g._straightened
     if problems:
-        error = RecoveredMultiEdge if problems[0].kind == RECOVERED_MULTI_EDGE else RecoveredLoop
-        raise error(str(problems[0]))
+        raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
     vertices = tuple(g.true_vertices)
     degrees = {v: 0 for v in vertices}
     for a, b in edges:
@@ -265,45 +271,32 @@ class CrossingNeighborhood:
         e = self.endpoints
         return frozenset({frozenset({e[0], e[2]}), frozenset({e[1], e[3]})})
 
+    def corners(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per corner i: (A, B, a, b, faces[i]), where A and B are the
+        endpoints i and i+1 bounding the corner and a and b are their
+        opposite endpoints, the far ends of the two original edges."""
+        e0, e1, e2, e3 = self.endpoints
+        f0, f1, f2, f3 = self.faces
+        return ((e0, e1, e2, e3, f0), (e1, e2, e3, e0, f1), (e2, e3, e0, e1, f2), (e3, e0, e1, e2, f3))
+
 
 def crossing_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:
     """One neighborhood per false vertex, in vertex order."""
     emb = g.embedding
+    face_of = emb.face_of
     out: list[CrossingNeighborhood] = []
     for f in sorted(g.false_vertices):
         r = emb.rotation.rotation[f]
         if len(r) != 4:
             raise ValueError(f"false vertex {f} has degree {len(r)}, not 4")
         k = r.index(min(r))
-        endpoints = tuple(r[(k + i) % 4] for i in range(4))
-        faces = tuple(emb.face_of[(f, endpoints[(i + 1) % 4])] for i in range(4))
+        e0, e1, e2, e3 = endpoints = r[k:] + r[:k]
+        faces = (face_of[f, e1], face_of[f, e2], face_of[f, e3], face_of[f, e0])
         out.append(CrossingNeighborhood(f, endpoints, faces))  # type: ignore[arg-type]
     return out
 
 
-@dataclass(frozen=True)
-class DiagnosticFlag:
-    kind: str
-    members: tuple[int, ...]
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind} {list(self.members)}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    flags: tuple[DiagnosticFlag, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
-    def kinds(self) -> set[str]:
-        return {f.kind for f in self.flags}
-
-
-# Flag kinds produced by drawing_diagnostics(). Each names a local
+# Violation kinds produced by drawing_diagnostics(). Each names a local
 # pattern that a crossing-minimal simple drawing cannot contain.
 SQUEEZED_3_VERTEX = "squeezed-3-vertex"
 CROSSING_EDGE_ON_TWO_TRIANGLES = "crossing-edge-on-two-triangles"
@@ -315,7 +308,7 @@ def _is_false_triangle(g: AssociatedPlaneGraph, face: int) -> bool:
     return emb.face_degree(face) == 3 and any(g.is_false(t) for t in emb.face_tails(face))
 
 
-def drawing_diagnostics(g: AssociatedPlaneGraph) -> DiagnosticsReport:
+def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
     """Flag local patterns impossible in crossing-minimal drawings.
 
     A nonempty report does not make the input unusable; it signals that
@@ -330,7 +323,7 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> DiagnosticsReport:
     """
     emb = g.embedding
     rot = emb.rotation.rotation
-    flags: list[DiagnosticFlag] = []
+    flags: list[Violation] = []
 
     for v in emb.vertices:
         d = emb.degree(v)
@@ -341,7 +334,7 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> DiagnosticsReport:
             false_nbrs = sum(1 for u in rot[v] if g.is_false(u))
             if triangles >= 2 and false_nbrs >= 2 and not any(fd >= 5 for fd in corner_degs):
                 flags.append(
-                    DiagnosticFlag(
+                    Violation(
                         SQUEEZED_3_VERTEX,
                         (v,),
                         f"{triangles} triangles, {false_nbrs} false neighbors, no 5+-face",
@@ -353,7 +346,7 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> DiagnosticsReport:
                 _is_false_triangle(g, f) for f in emb.corner_faces(v)
             ):
                 flags.append(
-                    DiagnosticFlag(ENCIRCLED_4_VERTEX, (v,), "four false triangles around a 4-vertex")
+                    Violation(ENCIRCLED_4_VERTEX, (v,), "four false triangles around a 4-vertex")
                 )
 
     for u in sorted(g.false_vertices):
@@ -364,11 +357,11 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> DiagnosticsReport:
             side_b = emb.face_of[(v, u)]
             if emb.face_degree(side_a) == 3 and emb.face_degree(side_b) == 3:
                 flags.append(
-                    DiagnosticFlag(
+                    Violation(
                         CROSSING_EDGE_ON_TWO_TRIANGLES,
                         (u, v),
                         "crossing edge to a 3-vertex lies on two triangles",
                     )
                 )
 
-    return DiagnosticsReport(tuple(flags))
+    return ValidationReport(tuple(flags))

@@ -11,9 +11,10 @@ from gadgets import (
     triangle_payment_gadget,
 )
 from oneplane.audit import audit
-from oneplane.discharging import apply_discharging, vertex
-from oneplane.generators import catalog
+from oneplane.discharging import apply_discharging, find_transitive_false_vertices, vertex
+from oneplane.generators import GeneratorParams, catalog, catalog_names, random_oneplane
 from oneplane.oneplanar import build_drawing
+from test_acceptance import R6_SAMPLES
 
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
 
@@ -177,3 +178,14 @@ def test_corpus_audits_pass(corpus_runs):
         report = audit(g, final, transfers)
         assert report.conserved, name
         assert report.passed, (name, [c.name for c in report.checks if not c.passed])
+
+
+def test_crossing_inflow_covers_exactly_the_transitive_corners():
+    # the audit's pi+ and the engine's routing test read the same corners
+    drawings = [catalog(name) for name in catalog_names()] + list(R6_SAMPLES)
+    drawings += [random_oneplane(GeneratorParams(seed, 20, 0.75)) for seed in range(3)]
+    for g in drawings:
+        report, _ = run(g)
+        inflowing = {(c.face, c.via) for c in report.crossing_flow if c.inflow > 0}
+        transitive = find_transitive_false_vertices(g)
+        assert inflowing == {(f, v) for f, vs in transitive.items() for v in vs}

@@ -167,6 +167,14 @@ def test_boolean_neighbor_is_a_data_error(tmp_path, capsys):
     assert "list of integers" in capsys.readouterr().err
 
 
+def test_ambiguous_rotation_key_is_a_data_error(tmp_path, capsys):
+    text = graphio.dumps(catalog("k4")).replace('"1": [', '"01": [', 1)
+    path = tmp_path / "padded.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 65
+    assert "rotation key '01'" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_data_error(capsys):
     assert main(["validate", "/nonexistent/x.json"]) == 65
     capsys.readouterr()

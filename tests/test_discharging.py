@@ -6,6 +6,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from gadgets import crossing_gadget
 from naive_oracle import naive_ledger
 from oneplane.discharging import (
@@ -263,3 +265,42 @@ def test_claw_prepays_hub_once_per_occurrence():
     prepaid = [t for t in transfers if t.rule == "R8" and t.target == vertex(0)]
     assert len(prepaid) == 3
     assert all(t.amount == Fraction(2, 3) for t in prepaid)
+
+
+# Per band of m, as the paper states the rules: (rule, 3-face sender
+# with both far ends of degree 3, 3-face sender with far degrees (3, 7),
+# 4+-face sender). Each entry lists the routed amounts; R6.1 also pays
+# the degree-3 far ends themselves.
+R6_BAND_EXPECTED = {
+    8: None,
+    9: ("R6.4", [Fraction(1, 18)] * 2, [Fraction(1, 9)], [Fraction(5, 18)] * 2),
+    10: ("R6.3", [Fraction(1, 10)] * 2, [Fraction(1, 5)], [Fraction(3, 10)] * 2),
+    11: ("R6.3", [Fraction(1, 10)] * 2, [Fraction(1, 5)], [Fraction(3, 10)] * 2),
+    12: ("R6.2", [Fraction(1, 6)] * 2, [Fraction(1, 3)], [Fraction(1, 3)] * 2),
+    23: ("R6.2", [Fraction(1, 6)] * 2, [Fraction(1, 3)], [Fraction(1, 3)] * 2),
+    24: ("R6.1", [Fraction(1, 6)] * 4, [Fraction(1, 3)] * 2, [Fraction(1, 6)] * 4),
+}
+
+
+def _r6(g) -> list[tuple[str, Fraction]]:
+    _, transfers = apply_discharging(g)
+    return sorted((t.rule, t.amount) for t in transfers if t.rule.startswith("R6"))
+
+
+@pytest.mark.parametrize("m", sorted(R6_BAND_EXPECTED))
+def test_r6_band_boundaries(m):
+    expected = R6_BAND_EXPECTED[m]
+    cases = {
+        "both": _r6(crossing_gadget(m, m, 3, 3, "triangle")),
+        "one-sided": _r6(crossing_gadget(m, m, 3, 7, "triangle")),
+        "quad": _r6(crossing_gadget(m, m, 3, 3, "quad")),
+    }
+    if expected is None:
+        assert cases == {"both": [], "one-sided": [], "quad": []}
+        return
+    rule, both, one_sided, quad = expected
+    assert cases == {
+        "both": [(rule, a) for a in both],
+        "one-sided": [(rule, a) for a in one_sided],
+        "quad": [(rule, a) for a in quad],
+    }

@@ -74,3 +74,45 @@ def test_byte_offset_counts_bytes_not_characters():
 def test_schema_violations_rejected(doc):
     with pytest.raises(graphio.GraphFormatError):
         graphio.loads(doc)
+
+
+def _cycle_doc(keys: list[str]) -> str:
+    """Document text for the cycle 0-1-...-10, storing the rotation of
+    vertex i under keys[i]; written by hand so keys may repeat."""
+    n = 11
+    vertices = ", ".join(f'{{"id": {i}, "false": false}}' for i in range(n))
+    rotation = ", ".join(
+        f'"{key}": [{(i - 1) % n}, {(i + 1) % n}]' for i, key in enumerate(keys)
+    )
+    return f'{{"vertices": [{vertices}], "rotation": {{{rotation}}}}}'
+
+
+CANONICAL_KEYS = [str(i) for i in range(11)]
+
+
+def test_cycle_doc_with_canonical_keys_loads():
+    assert graphio.loads(_cycle_doc(CANONICAL_KEYS)).embedding.vertex_count() == 11
+
+
+@pytest.mark.parametrize(
+    "index, key",
+    [(1, " 1"), (1, "01"), (1, "+1"), (1, "1 "), (10, "1_0")],
+)
+def test_non_canonical_rotation_key_rejected(index, key):
+    # int() would map each of these keys to the vertex it stands in for
+    keys = list(CANONICAL_KEYS)
+    keys[index] = key
+    with pytest.raises(graphio.GraphFormatError, match="rotation key"):
+        graphio.loads(_cycle_doc(keys))
+
+
+@pytest.mark.parametrize("extra", ["1", " 1"])
+def test_repeated_rotation_key_rejected(extra):
+    with pytest.raises(graphio.GraphFormatError):
+        graphio.loads(_cycle_doc(CANONICAL_KEYS + [extra]))
+
+
+def test_duplicate_key_in_vertex_entry_rejected():
+    text = _cycle_doc(CANONICAL_KEYS).replace('"id": 0,', '"id": 0, "id": 1,', 1)
+    with pytest.raises(graphio.GraphFormatError, match="duplicate key 'id'"):
+        graphio.loads(text)

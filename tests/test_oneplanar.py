@@ -17,6 +17,7 @@ from oneplane.oneplanar import (
     ADJACENT_FALSE,
     CROSSING_EDGE_ON_TWO_TRIANGLES,
     ENCIRCLED_4_VERTEX,
+    FALSE_CYCLE,
     FALSE_DEGREE,
     RECOVERED_LOOP,
     RECOVERED_MULTI_EDGE,
@@ -24,6 +25,7 @@ from oneplane.oneplanar import (
     OriginalGraphView,
     RecoveredLoop,
     RecoveredMultiEdge,
+    ValidationReport,
     build_drawing,
     crossing_neighborhoods,
     drawing_diagnostics,
@@ -123,6 +125,18 @@ def test_false_chain_straightening_to_a_loop():
         recover_original(g)
 
 
+def test_false_vertex_cycle_is_a_plain_value_error():
+    # the crossing segments of 0, 1 and 2 run into each other in a cycle
+    g = build_drawing(
+        {0: (2, 4, 1, 3), 1: (0, 4, 2, 3), 2: (1, 4, 0, 3), 3: (0, 1, 2), 4: (0, 2, 1)},
+        {0, 1, 2},
+    )
+    assert FALSE_CYCLE in validate(g).kinds()
+    with pytest.raises(ValueError, match=FALSE_CYCLE) as err:
+        recover_original(g)
+    assert type(err.value) is ValueError
+
+
 def test_crossing_neighborhoods_on_k5():
     g = catalog("k5-one-crossing")
     hoods = crossing_neighborhoods(g)
@@ -204,3 +218,8 @@ def test_recovery_degree_identity_on_random_instances(seed):
 def test_crossing_gadget_validates():
     g = crossing_gadget(9, 9, 1, 1, "triangle")
     assert validate(g).ok
+
+
+def test_diagnostics_and_validation_share_one_report_type():
+    for g in (catalog("k5-one-crossing"), squeezed_gadget()):
+        assert type(validate(g)) is type(drawing_diagnostics(g)) is ValidationReport
