@@ -48,6 +48,7 @@ from .oneplanar import (
     build_drawing,
     crossing_neighborhoods,
     drawing_diagnostics,
+    is_false_triangle,
     recover_original,
     validate,
 )

@@ -69,6 +69,7 @@ from .oneplanar import (
     AssociatedPlaneGraph,
     CrossingNeighborhood,
     crossing_neighborhoods,
+    is_false_triangle,
     recover_original,
 )
 
@@ -230,8 +231,8 @@ def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Trans
                 amt = special_amt if (v, f) in pivot_keys else plain_amt
                 transfers.append(Transfer(rule, vertex(v), face(f), amt))
         elif d == 7:
-            for f in _corner_3faces(emb, v):
-                if any(g.is_false(t) for t in emb.face_tails(f)):
+            for f in emb.corner_faces(v):
+                if is_false_triangle(g, f):
                     transfers.append(Transfer("R4", vertex(v), face(f), Fraction(1, 2)))
         elif d >= 8:
             amt = Fraction(d - 4, d)

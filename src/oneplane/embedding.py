@@ -15,6 +15,7 @@ rotations always yields identical face lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 HalfEdge = tuple[int, int]
 
@@ -41,19 +42,6 @@ class RotationSystem:
     def from_mapping(cls, mapping: dict[int, list[int] | tuple[int, ...]]) -> RotationSystem:
         return cls({v: tuple(nbrs) for v, nbrs in mapping.items()})
 
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(self.rotation)
-
-    def degree(self, v: int) -> int:
-        return len(self.rotation[v])
-
-    def edge_count(self) -> int:
-        return sum(len(r) for r in self.rotation.values()) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted({(min(u, v), max(u, v)) for u, r in self.rotation.items() for v in r})
-
     def successor(self, v: int, prev: int) -> int:
         """Neighbor that follows `prev` in the cyclic order at v."""
         r = self.rotation[v]
@@ -68,25 +56,30 @@ class PlaneEmbedding:
     directed edge to the index of the unique face walk containing it.
     Boundary walks carry multiplicity: a bridge contributes both of its
     directions to the same face, and a cut vertex may appear several
-    times on one walk.
+    times on one walk. The sorted vertices and the face tails are
+    derived from the rotation once, on first use.
     """
 
     rotation: RotationSystem
     faces: tuple[tuple[HalfEdge, ...], ...]
     face_of: dict[HalfEdge, int] = field(repr=False)
 
-    @property
-    def vertices(self) -> list[int]:
-        return self.rotation.vertices
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rotation.rotation))
+
+    @cached_property
+    def _face_tails(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(t for t, _ in walk) for walk in self.faces)
 
     def degree(self, v: int) -> int:
-        return self.rotation.degree(v)
+        return len(self.rotation.rotation[v])
 
     def vertex_count(self) -> int:
         return len(self.rotation.rotation)
 
     def edge_count(self) -> int:
-        return self.rotation.edge_count()
+        return len(self.face_of) // 2
 
     def face_count(self) -> int:
         return len(self.faces)
@@ -96,16 +89,14 @@ class PlaneEmbedding:
 
     def face_tails(self, i: int) -> tuple[int, ...]:
         """Vertices along face i, with multiplicity, in walk order."""
-        return tuple(t for t, _ in self.faces[i])
-
-    def corner_face(self, v: int, i: int) -> int:
-        """Face at the corner of v between its i-th and (i+1)-th neighbors."""
-        r = self.rotation.rotation[v]
-        return self.face_of[(v, r[(i + 1) % len(r)])]
+        return self._face_tails[i]
 
     def corner_faces(self, v: int) -> tuple[int, ...]:
-        """Faces around v in rotation order, one per corner, with multiplicity."""
-        return tuple(self.corner_face(v, i) for i in range(self.degree(v)))
+        """Faces around v in rotation order, one per corner, with
+        multiplicity: the i-th lies between the i-th and (i+1)-th
+        neighbors."""
+        r = self.rotation.rotation[v]
+        return tuple(self.face_of[v, u] for u in r[1:] + r[:1])
 
 
 def _check_rotation(rot: RotationSystem) -> None:
@@ -125,7 +116,7 @@ def _check_rotation(rot: RotationSystem) -> None:
         for u in nbrs:
             if v not in table[u]:
                 raise MalformedRotation(f"edge {v}-{u} is not symmetric")
-    if rot.edge_count() == 0:
+    if not any(table.values()):
         raise MalformedRotation("rotation system has no edges")
 
 

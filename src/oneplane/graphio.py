@@ -36,11 +36,6 @@ class GraphFormatError(ValueError):
         self.byte_offset = byte_offset
 
 
-def _format_error(text: str, err: json.JSONDecodeError) -> GraphFormatError:
-    offset = len(text[: err.pos].encode("utf-8"))
-    return GraphFormatError(f"invalid JSON at byte {offset}: {err.msg}", offset)
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
@@ -53,8 +48,13 @@ def loads(text: str) -> AssociatedPlaneGraph:
     """Parse the graph JSON document and build the embedded drawing."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except GraphFormatError:
+        raise
     except json.JSONDecodeError as err:
-        raise _format_error(text, err) from None
+        offset = len(text[: err.pos].encode("utf-8"))
+        raise GraphFormatError(f"invalid JSON at byte {offset}: {err.msg}", offset) from None
+    except (RecursionError, ValueError) as err:  # nesting too deep, integer too long
+        raise GraphFormatError(f"unreadable JSON: {err}") from None
 
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level value must be an object")
@@ -110,7 +110,11 @@ def dumps(g: AssociatedPlaneGraph) -> str:
 
 
 def load(path: str | Path) -> AssociatedPlaneGraph:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise GraphFormatError(f"invalid UTF-8 at byte {err.start}", err.start) from None
+    return loads(text)
 
 
 def save(g: AssociatedPlaneGraph, path: str | Path) -> None:

@@ -37,14 +37,6 @@ class LightType:
     tag: str
     profile: str
 
-    @property
-    def min_endpoint(self) -> int:
-        return int(self.tag[1:])
-
-    @property
-    def max_partner(self) -> int:
-        return PROFILES[self.profile][self.min_endpoint]
-
 
 def classify_edge(a: int, b: int, profile: str = DEFAULT_PROFILE) -> LightType | None:
     """Light type of an edge with endpoint degrees a and b, or None.

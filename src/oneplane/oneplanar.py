@@ -34,7 +34,9 @@ class RecoveredMultiEdge(ValueError):
 
 @dataclass(frozen=True)
 class AssociatedPlaneGraph:
-    """A plane embedding plus the set of vertices marking crossings."""
+    """A plane embedding plus the set of vertices marking crossings. The
+    straightening and the crossing neighborhoods are derived once per
+    drawing, on first use."""
 
     embedding: PlaneEmbedding
     false_vertices: frozenset[int]
@@ -44,6 +46,21 @@ class AssociatedPlaneGraph:
         """Derived once per drawing, on first use, for `validate` and
         `recover_original`."""
         return _straighten(self)
+
+    @cached_property
+    def _neighborhoods(self) -> list[CrossingNeighborhood]:
+        emb = self.embedding
+        face_of = emb.face_of
+        out: list[CrossingNeighborhood] = []
+        for f in sorted(self.false_vertices):
+            r = emb.rotation.rotation[f]
+            if len(r) != 4:
+                raise ValueError(f"false vertex {f} has degree {len(r)}, not 4")
+            k = r.index(min(r))
+            e0, e1, e2, e3 = endpoints = r[k:] + r[:k]
+            faces = (face_of[f, e1], face_of[f, e2], face_of[f, e3], face_of[f, e0])
+            out.append(CrossingNeighborhood(f, endpoints, faces))  # type: ignore[arg-type]
+        return out
 
     @property
     def true_vertices(self) -> list[int]:
@@ -281,19 +298,9 @@ class CrossingNeighborhood:
 
 
 def crossing_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:
-    """One neighborhood per false vertex, in vertex order."""
-    emb = g.embedding
-    face_of = emb.face_of
-    out: list[CrossingNeighborhood] = []
-    for f in sorted(g.false_vertices):
-        r = emb.rotation.rotation[f]
-        if len(r) != 4:
-            raise ValueError(f"false vertex {f} has degree {len(r)}, not 4")
-        k = r.index(min(r))
-        e0, e1, e2, e3 = endpoints = r[k:] + r[:k]
-        faces = (face_of[f, e1], face_of[f, e2], face_of[f, e3], face_of[f, e0])
-        out.append(CrossingNeighborhood(f, endpoints, faces))  # type: ignore[arg-type]
-    return out
+    """One neighborhood per false vertex, in vertex order; every call on
+    a drawing returns the same list, which callers must not modify."""
+    return g._neighborhoods
 
 
 # Violation kinds produced by drawing_diagnostics(). Each names a local
@@ -303,7 +310,8 @@ CROSSING_EDGE_ON_TWO_TRIANGLES = "crossing-edge-on-two-triangles"
 ENCIRCLED_4_VERTEX = "encircled-4-vertex"
 
 
-def _is_false_triangle(g: AssociatedPlaneGraph, face: int) -> bool:
+def is_false_triangle(g: AssociatedPlaneGraph, face: int) -> bool:
+    """Whether `face` is a 3-face with a false vertex on it."""
     emb = g.embedding
     return emb.face_degree(face) == 3 and any(g.is_false(t) for t in emb.face_tails(face))
 
@@ -327,7 +335,8 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
 
     for v in emb.vertices:
         d = emb.degree(v)
-        corner_degs = [emb.face_degree(f) for f in emb.corner_faces(v)]
+        corners = emb.corner_faces(v)
+        corner_degs = [emb.face_degree(f) for f in corners]
 
         if d == 3 and not g.is_false(v):
             triangles = sum(1 for fd in corner_degs if fd == 3)
@@ -341,13 +350,10 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
                     )
                 )
 
-        if d == 4 and not g.is_false(v):
-            if all(fd == 3 for fd in corner_degs) and all(
-                _is_false_triangle(g, f) for f in emb.corner_faces(v)
-            ):
-                flags.append(
-                    Violation(ENCIRCLED_4_VERTEX, (v,), "four false triangles around a 4-vertex")
-                )
+        if d == 4 and not g.is_false(v) and all(is_false_triangle(g, f) for f in corners):
+            flags.append(
+                Violation(ENCIRCLED_4_VERTEX, (v,), "four false triangles around a 4-vertex")
+            )
 
     for u in sorted(g.false_vertices):
         for v in rot[u]:

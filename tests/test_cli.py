@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gadgets import squeezed_gadget
 from oneplane import graphio
 from oneplane.cli import main
-from oneplane.generators import catalog
+from oneplane.generators import catalog, catalog_names
 from oneplane.oneplanar import build_drawing
 
 
@@ -173,6 +175,57 @@ def test_ambiguous_rotation_key_is_a_data_error(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["validate", str(path)]) == 65
     assert "rotation key '01'" in capsys.readouterr().err
+
+
+def test_invalid_utf8_is_a_data_error_at_its_byte(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"vertices": [\xff]}')
+    assert main(["validate", str(path)]) == 65
+    assert "input error at byte 14" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    assert main(["validate", str(path)]) == 65
+    assert "input error at byte 0" in capsys.readouterr().err
+
+
+def test_overlong_integer_is_a_data_error(tmp_path, capsys):
+    # 5000 digits exceed the interpreter's integer-string limit where it
+    # has one; where it has none, the id is not dense from 0. Both exit 65.
+    path = tmp_path / "bigint.json"
+    path.write_text(
+        '{"vertices": [{"id": %s, "false": false}], "rotation": {}}' % ("9" * 5000),
+        encoding="utf-8",
+    )
+    assert main(["validate", str(path)]) == 65
+    assert "input error at byte 0" in capsys.readouterr().err
+
+
+def _validate_exit(path, raw: bytes) -> int:
+    path.write_bytes(raw)
+    return main(["validate", str(path)])
+
+
+@given(st.binary(max_size=300))
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_arbitrary_bytes_never_escape_validate(tmp_path, capsys, raw):
+    assert _validate_exit(tmp_path / "any.json", raw) in (0, 1, 65)
+    capsys.readouterr()
+
+
+@given(st.sampled_from(catalog_names()), st.data())
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_single_byte_mutations_never_escape_validate(tmp_path, capsys, name, data):
+    raw = bytearray(graphio.dumps(catalog(name)).encode("utf-8"))
+    raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    assert _validate_exit(tmp_path / "mutated.json", bytes(raw)) in (0, 1, 65)
+    capsys.readouterr()
 
 
 def test_missing_file_is_a_data_error(capsys):

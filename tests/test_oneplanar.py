@@ -156,6 +156,11 @@ def test_plane_drawing_has_no_neighborhoods():
     assert crossing_neighborhoods(build_drawing(K4)) == []
 
 
+def test_crossing_neighborhoods_are_derived_once_per_drawing():
+    g = catalog("cube-plus-diagonals")
+    assert crossing_neighborhoods(g) is crossing_neighborhoods(g)
+
+
 def test_cube_plus_diagonals_has_six_neighborhoods():
     g = catalog("cube-plus-diagonals")
     hoods = crossing_neighborhoods(g)
