@@ -102,7 +102,7 @@ def element_label(el: Element) -> str:
     return f"{el[0]}{el[1]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transfer:
     """One rule-tagged charge movement. R6 transfers name the false
     vertex they are routed through."""

@@ -5,7 +5,8 @@ neighbors. Tracing directed edges through these rotations recovers the
 faces: the successor of the directed edge (u, v) is (v, w), where w
 follows u in the rotation at v. The walks so obtained partition the set
 of directed edges, and the system describes a sphere embedding exactly
-when V - E + F = 2. Anything else is rejected.
+when V - E + F = 2. Anything else is rejected. A build derives a table
+of these successors once, so it runs in time linear in V + E.
 
 Face indexing is deterministic: walks are discovered and anchored at
 their lexicographically smallest directed edge, so rebuilding from equal
@@ -34,18 +35,14 @@ class NotPlane(ValueError):
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """Cyclic counterclockwise neighbor order, one tuple per vertex."""
+    """Cyclic counterclockwise neighbor order, one tuple per vertex. Each
+    build derives a successor table from it once, in linear time."""
 
     rotation: dict[int, tuple[int, ...]]
 
     @classmethod
     def from_mapping(cls, mapping: dict[int, list[int] | tuple[int, ...]]) -> RotationSystem:
         return cls({v: tuple(nbrs) for v, nbrs in mapping.items()})
-
-    def successor(self, v: int, prev: int) -> int:
-        """Neighbor that follows `prev` in the cyclic order at v."""
-        r = self.rotation[v]
-        return r[(r.index(prev) + 1) % len(r)]
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,7 @@ class PlaneEmbedding:
         return tuple(self.face_of[v, u] for u in r[1:] + r[:1])
 
 
-def _check_rotation(rot: RotationSystem) -> None:
-    table = rot.rotation
+def _check_rotation(table: dict[int, tuple[int, ...]], succ: dict[int, dict[int, int]]) -> None:
     if not table:
         raise MalformedRotation("empty rotation system")
     for v, nbrs in table.items():
@@ -114,7 +110,7 @@ def _check_rotation(rot: RotationSystem) -> None:
                 raise MalformedRotation(f"vertex {v} lists neighbor {u} twice")
             seen.add(u)
         for u in nbrs:
-            if v not in table[u]:
+            if v not in succ[u]:
                 raise MalformedRotation(f"edge {v}-{u} is not symmetric")
     if not any(table.values()):
         raise MalformedRotation("rotation system has no edges")
@@ -142,25 +138,28 @@ def build_embedding(rot: RotationSystem) -> PlaneEmbedding:
     adjacencies, Disconnected for multi-component input, and NotPlane
     when the traced faces violate Euler's identity V - E + F = 2.
     """
-    _check_rotation(rot)
+    table = rot.rotation
+    # succ[v][u]: the neighbor that follows u in the cyclic order at v
+    succ = {v: dict(zip(r, r[1:] + r[:1])) for v, r in table.items()}
+    _check_rotation(table, succ)
     _check_connected(rot)
 
-    half_edges = sorted((u, v) for u, r in rot.rotation.items() for v in r)
     face_of: dict[HalfEdge, int] = {}
     faces: list[tuple[HalfEdge, ...]] = []
-    for start in half_edges:
-        if start in face_of:
-            continue
-        walk: list[HalfEdge] = []
-        cur = start
-        while True:
-            face_of[cur] = len(faces)
-            walk.append(cur)
-            tail, head = cur
-            cur = (head, rot.successor(head, tail))
-            if cur == start:
-                break
-        faces.append(tuple(walk))
+    for u in sorted(table):
+        for v in sorted(table[u]):
+            start = cur = (u, v)
+            if start in face_of:
+                continue
+            walk: list[HalfEdge] = []
+            while True:
+                face_of[cur] = len(faces)
+                walk.append(cur)
+                tail, head = cur
+                cur = (head, succ[head][tail])
+                if cur == start:
+                    break
+            faces.append(tuple(walk))
 
     emb = PlaneEmbedding(rotation=rot, faces=tuple(faces), face_of=face_of)
     if euler_characteristic(emb) != 2:

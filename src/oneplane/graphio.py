@@ -103,8 +103,8 @@ def dumps(g: AssociatedPlaneGraph) -> str:
     """Serialize a drawing to its canonical JSON text."""
     rot = g.embedding.rotation.rotation
     doc = {
-        "vertices": [{"id": v, "false": g.is_false(v)} for v in sorted(rot)],
-        "rotation": {str(v): list(rot[v]) for v in sorted(rot)},
+        "vertices": [{"id": v, "false": g.is_false(v)} for v in g.embedding.vertices],
+        "rotation": {str(v): list(rot[v]) for v in g.embedding.vertices},
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -161,7 +161,7 @@ def _straighten(
 
     instances: list[tuple[int, int]] = [
         (u, v)
-        for u in sorted(rot)
+        for u in g.embedding.vertices
         if not g.is_false(u)
         for v in rot[u]
         if u < v and not g.is_false(v)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,63 @@ def test_rebuild_is_deterministic():
     assert a.face_of == b.face_of
 
 
+def assert_matches_oracle(rotation):
+    """The faces and `face_of`, in its insertion order, equal those of
+    the independent tracer."""
+    emb = build(rotation)
+    oracle = naive_faces(emb.rotation.rotation)
+    assert [list(w) for w in emb.faces] == oracle
+    assert list(emb.face_of.items()) == [(d, i) for i, w in enumerate(oracle) for d in w]
+
+
+def turned_wheel(spokes, seed):
+    """Wheel with hub 0 and rim 1..spokes, each rotation turned to a
+    seeded random start."""
+    rng = random.Random(seed)
+    rotation = {0: tuple(range(1, spokes + 1))}
+    for i in range(1, spokes + 1):
+        rotation[i] = (0, (i - 2) % spokes + 1, i % spokes + 1)
+    for v, r in rotation.items():
+        k = rng.randrange(len(r))
+        rotation[v] = r[k:] + r[:k]
+    return rotation
+
+
+@pytest.mark.parametrize("spokes", [3, 4, 5, 7, 30, 300, 3000])
+def test_turned_wheel_faces_match_independent_tracer(spokes):
+    assert_matches_oracle(turned_wheel(spokes, seed=spokes))
+
+
+def test_corpus_faces_match_independent_tracer(corpus):
+    for _, g in corpus:
+        assert_matches_oracle(g.embedding.rotation.rotation)
+
+
+@pytest.mark.parametrize(
+    "rotation, message",
+    [
+        ({}, "empty rotation system"),
+        ({0: []}, "rotation system has no edges"),
+        ({0: [0, 1], 1: [0]}, "loop at vertex 0"),
+        ({0: [1, 5], 1: [0]}, "vertex 0 lists unknown neighbor 5"),
+        ({0: [1, 1], 1: [0, 0]}, "vertex 0 lists neighbor 1 twice"),
+        ({0: [1], 1: []}, "edge 0-1 is not symmetric"),
+        # vertices in table order; within one, neighbors in rotation order,
+        # and the symmetry scan only after the vertex's own checks
+        ({0: [1, 2], 1: [], 2: [0, 2]}, "edge 0-1 is not symmetric"),
+        ({2: [0, 2], 0: [1, 2], 1: []}, "loop at vertex 2"),
+        ({0: [1, 5, 1], 1: [0]}, "vertex 0 lists unknown neighbor 5"),
+        ({0: [1, 1, 0], 1: [0]}, "vertex 0 lists neighbor 1 twice"),
+        ({0: [1, 2, 2], 1: [], 2: [0]}, "vertex 0 lists neighbor 2 twice"),
+        ({0: [1], 1: [0, 2], 2: []}, "edge 1-2 is not symmetric"),
+    ],
+)
+def test_malformed_rotation_messages_and_first_error(rotation, message):
+    with pytest.raises(MalformedRotation) as err:
+        build(rotation)
+    assert str(err.value) == message
+
+
 def test_asymmetric_rotation_rejected():
     with pytest.raises(MalformedRotation):
         build({0: [1], 1: []})
@@ -140,3 +199,4 @@ def test_tracing_invariants_on_random_rotations(rotation):
     assert len(walked) == len(set(walked)) == 2 * emb.edge_count()
     again = build(rotation)
     assert again.faces == emb.faces
+    assert_matches_oracle(rotation)
