@@ -18,14 +18,20 @@ quantities the argument's correctness rests on, and checks them exactly:
 
 Final-charge nonnegativity is deliberately not asserted: negative final
 charges are possible on ordinary inputs and are merely reported.
+
+The audit collects the amounts of each group (a face's heavy income and
+routed outflow, a (face, routing vertex) pair's outflow, a transitive
+corner's income and a (face, vertex) payment) and sums each group once
+with `discharging.exact_sum`, so every reported value is exact.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discharging import ChargeState, Element, Transfer, transitive_corners
+from .discharging import ZERO, ChargeState, Element, Transfer, exact_sum, transitive_corners
 from .oneplanar import AssociatedPlaneGraph
 
 
@@ -79,46 +85,49 @@ ONE_THIRD = Fraction(1, 3)
 FIVE_TWELFTHS = Fraction(5, 12)
 
 
-def _r5_fraction(d: int) -> Fraction:
-    return Fraction(d - 4, d)
-
-
 def audit(
     g: AssociatedPlaneGraph, final: ChargeState, transfers: list[Transfer]
 ) -> AuditReport:
     emb = g.embedding
+    deg = emb.degrees
+    face_count = emb.face_count()
     initial_total = Fraction(
-        sum(emb.degree(v) - 4 for v in emb.vertices)
-        + sum(emb.face_degree(i) - 4 for i in range(emb.face_count()))
+        sum(deg.values()) + sum(emb.face_degrees) - 4 * (len(deg) + face_count)
     )
     final_total = final.total()
 
-    received_heavy: dict[int, Fraction] = {i: Fraction(0) for i in range(emb.face_count())}
-    sent_via: dict[int, Fraction] = {i: Fraction(0) for i in range(emb.face_count())}
-    routed: dict[tuple[int, int], Fraction] = {}
-    payments: dict[tuple[int, int], Fraction] = {}  # (face, vertex) -> R7+R8 total
+    # amounts per group, each group summed once below
+    received_heavy: defaultdict[int, list[Fraction]] = defaultdict(list)
+    sent_via: defaultdict[int, list[Fraction]] = defaultdict(list)
+    routed: defaultdict[tuple[int, int], list[Fraction]] = defaultdict(list)
+    paid: defaultdict[tuple[int, int], list[Fraction]] = defaultdict(list)  # (face, vertex), R7+R8
     for t in transfers:
-        if t.rule == "R5" and emb.degree(t.source[1]) >= 9:
-            received_heavy[t.target[1]] += t.amount
-        elif t.rule.startswith("R6"):
-            sent_via[t.source[1]] += t.amount
-            key = (t.source[1], t.via)
-            routed[key] = routed.get(key, Fraction(0)) + t.amount
-        elif t.rule in ("R7", "R8") and t.target[0] == "v":
-            key = (t.source[1], t.target[1])
-            payments[key] = payments.get(key, Fraction(0)) + t.amount
+        rule = t.rule
+        if rule == "R5":
+            if deg[t.source[1]] >= 9:
+                received_heavy[t.target[1]].append(t.amount)
+        elif rule.startswith("R6"):
+            f = t.source[1]
+            sent_via[f].append(t.amount)
+            routed[f, t.via].append(t.amount)
+        elif rule in ("R7", "R8") and t.target[0] == "v":
+            paid[t.source[1], t.target[1]].append(t.amount)
 
     face_flow = {
-        i: FaceFlow(received_heavy[i], sent_via[i]) for i in range(emb.face_count())
+        i: FaceFlow(exact_sum(received_heavy.get(i, ())), exact_sum(sent_via.get(i, ())))
+        for i in range(face_count)
     }
+    payments = {key: exact_sum(amounts) for key, amounts in paid.items()}
 
-    inflow: dict[tuple[int, int], Fraction] = {}  # pi+, summed over transitive corners
+    # pi+, per (face, routing vertex), over its transitive corners; the
+    # R5 amount (d-4)/d is built once per degree
+    r5 = {d: Fraction(d - 4, d) for d in set(deg.values()) if d >= 9}
+    income: defaultdict[tuple[int, int], list[Fraction]] = defaultdict(list)
     for i, prev, v, nxt in transitive_corners(g):
-        contribution = _r5_fraction(emb.degree(prev)) + _r5_fraction(emb.degree(nxt))
-        inflow[(i, v)] = inflow.get((i, v), Fraction(0)) + contribution
+        income[i, v] += (r5[deg[prev]], r5[deg[nxt]])
     crossing_flow = tuple(
-        CrossingFlow(f, v, inflow.get((f, v), Fraction(0)), routed.get((f, v), Fraction(0)))
-        for f, v in sorted(set(inflow) | set(routed))
+        CrossingFlow(f, v, exact_sum(income.get((f, v), ())), exact_sum(routed.get((f, v), ())))
+        for f, v in sorted(income.keys() | routed.keys())
     )
 
     checks = [
@@ -140,9 +149,7 @@ def audit(
         ),
     )
 
-    negative = tuple(
-        (el, charge) for el, charge in sorted(final.charges.items()) if charge < 0
-    )
+    negative = tuple(sorted((el, charge) for el, charge in final.charges.items() if charge < 0))
 
     return AuditReport(
         conserved=final_total == initial_total,
@@ -156,10 +163,11 @@ def audit(
 
 
 def _check_face_balance(emb, face_flow: dict[int, FaceFlow]) -> CheckOutcome:
+    fdeg = emb.face_degrees
     failures = []
     instances = 0
     for i, flow in face_flow.items():
-        if emb.face_degree(i) >= 4:
+        if fdeg[i] >= 4:
             instances += 1
             if flow.received_heavy < flow.sent_via_false:
                 failures.append(
@@ -185,7 +193,7 @@ def _check_crossing_margin(crossing_flow: tuple[CrossingFlow, ...]) -> CheckOutc
 
 
 def _payment(payments: dict[tuple[int, int], Fraction], f: int, v: int) -> Fraction:
-    return payments.get((f, v), Fraction(0))
+    return payments.get((f, v), ZERO)
 
 
 def _check_triangle_payments(
@@ -198,17 +206,19 @@ def _check_triangle_payments(
     """A triangle pays its true `degree`-vertex at least `floor` whenever
     the other two corners have degree at least `neighbor_bound`."""
     emb = g.embedding
+    deg = emb.degrees
+    false = g.false_vertices
     failures = []
     instances = 0
-    for i in range(emb.face_count()):
-        if emb.face_degree(i) != 3:
+    for i, d in enumerate(emb.face_degrees):
+        if d != 3:
             continue
         tails = emb.face_tails(i)
         for j, v in enumerate(tails):
-            if g.is_false(v) or emb.degree(v) != degree:
+            if v in false or deg[v] != degree:
                 continue
-            others = [tails[(j + 1) % 3], tails[(j + 2) % 3]]
-            if all(emb.degree(u) >= neighbor_bound for u in others):
+            others = (tails[(j + 1) % 3], tails[(j + 2) % 3])
+            if all(deg[u] >= neighbor_bound for u in others):
                 instances += 1
                 got = _payment(payments, i, v)
                 if got < floor:
@@ -228,40 +238,42 @@ def _check_quad_payments(
     degree at least 12, every incident true 4-vertex gets 1/3.
     """
     emb = g.embedding
+    deg = emb.degrees
+    false = g.false_vertices
     failures = []
     instances = 0
-    for i in range(emb.face_count()):
-        if emb.face_degree(i) != 4:
+    for i, d in enumerate(emb.face_degrees):
+        if d != 4:
             continue
         tails = emb.face_tails(i)
-        if sum(1 for t in tails if g.is_false(t)) > 1:
+        if sum(1 for t in tails if t in false) > 1:
             continue
-        has_3 = any(emb.degree(t) == 3 for t in tails)
+        has_3 = any(deg[t] == 3 for t in tails)
 
         def neighbors_heavy(j: int, bound: int) -> bool:
             pair = (tails[(j - 1) % 4], tails[(j + 1) % 4])
-            return all(g.is_false(u) or emb.degree(u) >= bound for u in pair)
+            return all(u in false or deg[u] >= bound for u in pair)
 
         if has_3:
             anchored = any(
-                emb.degree(v) == 3 and neighbors_heavy(j, 24) for j, v in enumerate(tails)
+                deg[v] == 3 and neighbors_heavy(j, 24) for j, v in enumerate(tails)
             )
             if anchored:
                 instances += 1
                 for v in dict.fromkeys(tails):
-                    if not g.is_false(v) and emb.degree(v) <= 4:
+                    if v not in false and deg[v] <= 4:
                         got = _payment(payments, i, v)
                         if got < FIVE_TWELFTHS:
                             failures.append(f"f{i} paid v{v} {got}, needs {FIVE_TWELFTHS}")
         else:
             anchored = any(
-                not g.is_false(v) and emb.degree(v) == 4 and neighbors_heavy(j, 12)
+                v not in false and deg[v] == 4 and neighbors_heavy(j, 12)
                 for j, v in enumerate(tails)
             )
             if anchored:
                 instances += 1
                 for v in dict.fromkeys(tails):
-                    if not g.is_false(v) and emb.degree(v) == 4:
+                    if v not in false and deg[v] == 4:
                         got = _payment(payments, i, v)
                         if got < ONE_THIRD:
                             failures.append(f"f{i} paid v{v} {got}, needs {ONE_THIRD}")
@@ -275,15 +287,16 @@ def _check_big_face_payments(
     the small vertices on the walk are sparse enough (at most half the
     boundary positions hold 3-vertices or true 4-vertices)."""
     emb = g.embedding
+    deg = emb.degrees
+    false = g.false_vertices
     failures = []
     instances = 0
-    for i in range(emb.face_count()):
-        d = emb.face_degree(i)
+    for i, d in enumerate(emb.face_degrees):
         if d < 5:
             continue
         tails = emb.face_tails(i)
-        s = sum(1 for t in tails if emb.degree(t) == 3)
-        quads = [t for t in tails if not g.is_false(t) and emb.degree(t) == 4]
+        s = sum(1 for t in tails if deg[t] == 3)
+        quads = [t for t in tails if t not in false and deg[t] == 4]
         if not quads or s + len(quads) > d // 2:
             continue
         instances += 1

@@ -58,10 +58,17 @@ is forced by the m >= 9 requirement above.
 Residual splits in R7/R8 may move a negative balance; those transfers
 keep the face as their source and carry the signed per-recipient share.
 Zero-amount transfers are never recorded.
+
+The rule amounts are module constants, built once. Each transfer moves
+its amount with one exact subtraction and one exact addition. Totals
+are taken with `exact_sum`, which adds integer numerators per
+denominator and builds one `Fraction` per distinct denominator; the
+audit sums its grouped amounts the same way.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,6 +84,17 @@ from .oneplanar import (
 Element = tuple[str, int]
 
 SPECIAL_PARTNER_BOUND = {4: 11, 5: 9, 6: 8}
+
+ZERO = Fraction(0)
+R1_AMOUNT = Fraction(1, 6)
+# R2 and R3 by degree: (rule, to a special face pivoted at the vertex,
+# to any other incident 3-face).
+R2_R3_AMOUNTS = {
+    5: ("R2", Fraction(3, 10), Fraction(1, 5)),
+    6: ("R3", Fraction(7, 18), Fraction(1, 3)),
+}
+R4_AMOUNT = Fraction(1, 2)
+R8_PREPAY = Fraction(2, 3)
 
 # R6 bands, highest first: (least m, rule, amounts). R6.1 amounts are
 # (each of four targets, each of two targets); R6.2-R6.4 amounts are
@@ -129,17 +147,36 @@ class ChargeState:
         return self.charges[el]
 
     def total(self) -> Fraction:
-        return sum(self.charges.values(), Fraction(0))
+        return exact_sum(self.charges.values())
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of `values`, equal to `sum(values, Fraction(0))`.
+
+    Integer numerators are summed per denominator, and one `Fraction` is
+    built per distinct denominator, so a long sum over few denominators
+    normalizes only a few times.
+    """
+    numerators: dict[int, int] = {}
+    for q in values:
+        d = q.denominator
+        numerators[d] = numerators.get(d, 0) + q.numerator
+    if len(numerators) == 1:
+        ((d, n),) = numerators.items()
+        # a sum equal to its last term is that term, already normalized
+        return q if n == q.numerator else Fraction(n, d)
+    return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
 
 
 def initial_charges(g: AssociatedPlaneGraph) -> ChargeState:
     """Charge degree - 4 on every vertex and face; the total is -8."""
     emb = g.embedding
+    deg = emb.degrees
     charges: dict[Element, Fraction] = {}
     for v in emb.vertices:
-        charges[vertex(v)] = Fraction(emb.degree(v) - 4)
-    for i in range(emb.face_count()):
-        charges[face(i)] = Fraction(emb.face_degree(i) - 4)
+        charges[vertex(v)] = Fraction(deg[v] - 4)
+    for i, d in enumerate(emb.face_degrees):
+        charges[face(i)] = Fraction(d - 4)
     return ChargeState(charges)
 
 
@@ -156,12 +193,14 @@ class SpecialFace:
 
 def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     """All (false 3-face, pivot) records, trying both true corners."""
-    emb = g.embedding
+    deg = g.embedding.degrees
+    fdeg = g.embedding.face_degrees
+    false = g.false_vertices
     view = recover_original(g)
     records = []
     for hood in crossing_neighborhoods(g):
         for near_a, near_b, far_a, far_b, f in hood.corners():
-            if emb.face_degree(f) != 3:
+            if fdeg[f] != 3:
                 continue
             # both corner vertices are candidate pivots; the pivot's own
             # crossing edge ends at its opposite neighbor
@@ -169,12 +208,12 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
                 (near_a, near_b, far_a, far_b),
                 (near_b, near_a, far_b, far_a),
             ):
-                k = emb.degree(pivot)
-                if k not in SPECIAL_PARTNER_BOUND or g.is_false(pivot):
+                k = deg[pivot]
+                if k not in SPECIAL_PARTNER_BOUND or pivot in false:
                     continue
                 if not view.has_edge(partner, pivot_far):
                     continue
-                if emb.degree(partner_far) <= SPECIAL_PARTNER_BOUND[k]:
+                if deg[partner_far] <= SPECIAL_PARTNER_BOUND[k]:
                     records.append(SpecialFace(f, pivot, k, partner, (pivot_far, partner_far)))
     records.sort(key=lambda s: (s.face, s.pivot))
     return records
@@ -184,14 +223,15 @@ def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int
     """(face, previous tail, false vertex, next tail) for every position
     on every face where a false vertex sits between two face-neighbors
     of degree at least 9, in face order and walk order."""
-    emb = g.embedding
-    deg = emb.degree
+    deg = g.embedding.degrees
+    false = g.false_vertices
     out = []
-    for i, walk in enumerate(emb.faces):
+    for i, walk in enumerate(g.embedding.faces):
         for j, (v, nxt) in enumerate(walk):
-            prev = walk[j - 1][0]
-            if g.is_false(v) and min(deg(prev), deg(nxt)) >= 9:
-                out.append((i, prev, v, nxt))
+            if v in false:
+                prev = walk[j - 1][0]
+                if deg[prev] >= 9 and deg[nxt] >= 9:
+                    out.append((i, prev, v, nxt))
     return out
 
 
@@ -204,40 +244,39 @@ def find_transitive_false_vertices(g: AssociatedPlaneGraph) -> dict[int, tuple[i
     return {i: tuple(found) for i, found in out.items()}
 
 
-def _corner_3faces(emb, v: int) -> list[int]:
-    """Distinct 3-faces around v. A 3-face occupies exactly one corner of
-    each of its vertices, so no dedup is needed for degree >= 3."""
-    return [f for f in emb.corner_faces(v) if emb.face_degree(f) == 3]
-
-
 def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Transfer]:
     emb = g.embedding
+    deg = emb.degrees
+    fdeg = emb.face_degrees
+    false = g.false_vertices
     transfers: list[Transfer] = []
     pivot_keys = {(s.pivot, s.face) for s in specials}
 
     for s in specials:
         if s.k == 4:
-            transfers.append(Transfer("R1", vertex(s.pivot), face(s.face), Fraction(1, 6)))
+            transfers.append(Transfer("R1", vertex(s.pivot), face(s.face), R1_AMOUNT))
 
     for v in emb.vertices:
-        if g.is_false(v):
+        if v in false:
             continue
-        d = emb.degree(v)
+        d = deg[v]
+        src = vertex(v)
         if d == 5 or d == 6:
-            rule = "R2" if d == 5 else "R3"
-            special_amt = Fraction(3, 10) if d == 5 else Fraction(7, 18)
-            plain_amt = Fraction(1, 5) if d == 5 else Fraction(1, 3)
-            for f in _corner_3faces(emb, v):
-                amt = special_amt if (v, f) in pivot_keys else plain_amt
-                transfers.append(Transfer(rule, vertex(v), face(f), amt))
+            # a 3-face occupies exactly one corner of each of its
+            # vertices, so no dedup is needed
+            rule, special_amt, plain_amt = R2_R3_AMOUNTS[d]
+            for f in emb.corner_faces(v):
+                if fdeg[f] == 3:
+                    amt = special_amt if (v, f) in pivot_keys else plain_amt
+                    transfers.append(Transfer(rule, src, face(f), amt))
         elif d == 7:
             for f in emb.corner_faces(v):
                 if is_false_triangle(g, f):
-                    transfers.append(Transfer("R4", vertex(v), face(f), Fraction(1, 2)))
+                    transfers.append(Transfer("R4", src, face(f), R4_AMOUNT))
         elif d >= 8:
             amt = Fraction(d - 4, d)
             for f in emb.corner_faces(v):
-                transfers.append(Transfer("R5", vertex(v), face(f), amt))
+                transfers.append(Transfer("R5", src, face(f), amt))
 
     for hood in crossing_neighborhoods(g):
         transfers.extend(_route_through_crossing(g, hood))
@@ -246,12 +285,11 @@ def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Trans
 
 def _route_through_crossing(g: AssociatedPlaneGraph, hood: CrossingNeighborhood) -> list[Transfer]:
     """R6 transfers for every sending corner of one false vertex."""
-    emb = g.embedding
-    deg = emb.degree
+    deg = g.embedding.degrees
     corners = hood.corners()
     transfers: list[Transfer] = []
     for i, (near_a, near_b, far_a, far_b, f1) in enumerate(corners):
-        m = min(deg(near_a), deg(near_b))
+        m = min(deg[near_a], deg[near_b])
         for least, rule, amounts in R6_BANDS:
             if m >= least:
                 break
@@ -260,7 +298,7 @@ def _route_through_crossing(g: AssociatedPlaneGraph, hood: CrossingNeighborhood)
         src = face(f1)
         beyond_a = face(corners[(i + 1) % 4][4])  # corner face past far_a
         beyond_b = face(corners[(i - 1) % 4][4])  # corner face past far_b
-        da, db = deg(far_a), deg(far_b)
+        da, db = deg[far_a], deg[far_b]
 
         if rule == "R6.1":
             if da == 3 and db == 3:
@@ -273,7 +311,7 @@ def _route_through_crossing(g: AssociatedPlaneGraph, hood: CrossingNeighborhood)
                 continue
         elif da > 6 and db > 6:
             continue
-        elif emb.face_degree(f1) != 3:
+        elif g.embedding.face_degrees[f1] != 3:
             targets, amt = (beyond_a, beyond_b), amounts[2]
         elif da <= 6 and db <= 6:
             targets, amt = (beyond_a, beyond_b), amounts[0]
@@ -297,41 +335,41 @@ def apply_discharging(
     `initial` is `initial_charges(g)`, when the caller already holds it.
     """
     emb = g.embedding
+    deg = emb.degrees
+    fdeg = emb.face_degrees
+    false = g.false_vertices
     charges = dict((initial if initial is not None else initial_charges(g)).charges)
 
     transfers = _phase_a(g, find_special_faces(g))
     _apply(charges, transfers)
 
     phase_b: list[Transfer] = []
-    for i in range(emb.face_count()):
-        if emb.face_degree(i) > 4:
+    for i, d in enumerate(fdeg):
+        if d > 4:
             continue
-        takers = [
-            t for t in emb.face_tails(i) if not g.is_false(t) and emb.degree(t) <= 4
-        ]
-        balance = charges[face(i)]
+        takers = [t for t in emb.face_tails(i) if t not in false and deg[t] <= 4]
+        src = face(i)
+        balance = charges[src]
         if not takers or balance == 0:
             continue
         share = balance / len(takers)
-        phase_b.extend(Transfer("R7", face(i), vertex(t), share) for t in takers)
+        phase_b.extend(Transfer("R7", src, vertex(t), share) for t in takers)
     _apply(charges, phase_b)
     transfers.extend(phase_b)
 
     phase_c: list[Transfer] = []
-    for i in range(emb.face_count()):
-        if emb.face_degree(i) < 5:
+    for i, d in enumerate(fdeg):
+        if d < 5:
             continue
         tails = emb.face_tails(i)
-        prepaid = [Transfer("R8", face(i), vertex(t), Fraction(2, 3)) for t in tails if emb.degree(t) == 3]
-        takers = [t for t in tails if not g.is_false(t) and emb.degree(t) == 4]
-        balance = charges[face(i)] - Fraction(2, 3) * len(prepaid)
-        splits = (
-            [Transfer("R8", face(i), vertex(t), balance / len(takers)) for t in takers]
-            if takers and balance != 0
-            else []
-        )
+        src = face(i)
+        prepaid = [Transfer("R8", src, vertex(t), R8_PREPAY) for t in tails if deg[t] == 3]
+        takers = [t for t in tails if t not in false and deg[t] == 4]
         phase_c.extend(prepaid)
-        phase_c.extend(splits)
+        balance = charges[src] - R8_PREPAY * len(prepaid)
+        if takers and balance != 0:
+            share = balance / len(takers)
+            phase_c.extend(Transfer("R8", src, vertex(t), share) for t in takers)
     _apply(charges, phase_c)
     transfers.extend(phase_c)
 

@@ -53,8 +53,9 @@ class PlaneEmbedding:
     directed edge to the index of the unique face walk containing it.
     Boundary walks carry multiplicity: a bridge contributes both of its
     directions to the same face, and a cut vertex may appear several
-    times on one walk. The sorted vertices and the face tails are
-    derived from the rotation once, on first use.
+    times on one walk. The sorted vertices, the vertex degrees, the face
+    degrees and the face tails are derived once, on first use; the hot
+    loops of the discharging engine and the audit index these tables.
     """
 
     rotation: RotationSystem
@@ -66,11 +67,21 @@ class PlaneEmbedding:
         return tuple(sorted(self.rotation.rotation))
 
     @cached_property
+    def degrees(self) -> dict[int, int]:
+        """Vertex -> degree. Callers must not modify it."""
+        return {v: len(r) for v, r in self.rotation.rotation.items()}
+
+    @cached_property
+    def face_degrees(self) -> tuple[int, ...]:
+        """Face index -> length of its walk."""
+        return tuple(len(walk) for walk in self.faces)
+
+    @cached_property
     def _face_tails(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(t for t, _ in walk) for walk in self.faces)
 
     def degree(self, v: int) -> int:
-        return len(self.rotation.rotation[v])
+        return self.degrees[v]
 
     def vertex_count(self) -> int:
         return len(self.rotation.rotation)
@@ -82,7 +93,7 @@ class PlaneEmbedding:
         return len(self.faces)
 
     def face_degree(self, i: int) -> int:
-        return len(self.faces[i])
+        return self.face_degrees[i]
 
     def face_tails(self, i: int) -> tuple[int, ...]:
         """Vertices along face i, with multiplicity, in walk order."""

@@ -35,11 +35,15 @@ class RecoveredMultiEdge(ValueError):
 @dataclass(frozen=True)
 class AssociatedPlaneGraph:
     """A plane embedding plus the set of vertices marking crossings. The
-    straightening and the crossing neighborhoods are derived once per
-    drawing, on first use."""
+    sorted false vertices, the straightening and the crossing
+    neighborhoods are derived once per drawing, on first use."""
 
     embedding: PlaneEmbedding
     false_vertices: frozenset[int]
+
+    @cached_property
+    def sorted_false_vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(self.false_vertices))
 
     @cached_property
     def _straightened(self) -> tuple[frozenset[tuple[int, int]], tuple[Violation, ...]]:
@@ -52,7 +56,7 @@ class AssociatedPlaneGraph:
         emb = self.embedding
         face_of = emb.face_of
         out: list[CrossingNeighborhood] = []
-        for f in sorted(self.false_vertices):
+        for f in self.sorted_false_vertices:
             r = emb.rotation.rotation[f]
             if len(r) != 4:
                 raise ValueError(f"false vertex {f} has degree {len(r)}, not 4")
@@ -168,7 +172,7 @@ def _straighten(
     ]
 
     seen_paths: set[tuple[int, ...]] = set()
-    for f in sorted(g.false_vertices):
+    for f in g.sorted_false_vertices:
         if len(rot[f]) != 4:
             continue  # reported separately by validate()
         for axis in (0, 1):
@@ -209,12 +213,12 @@ def validate(g: AssociatedPlaneGraph) -> ValidationReport:
     rot = g.embedding.rotation.rotation
     violations: list[Violation] = []
 
-    for f in sorted(g.false_vertices):
+    for f in g.sorted_false_vertices:
         d = len(rot[f])
         if d != 4:
             violations.append(Violation(FALSE_DEGREE, (f,), f"degree {d}, expected 4"))
 
-    for f in sorted(g.false_vertices):
+    for f in g.sorted_false_vertices:
         for u in rot[f]:
             if g.is_false(u) and f < u:
                 violations.append(Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent"))
@@ -355,7 +359,7 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
                 Violation(ENCIRCLED_4_VERTEX, (v,), "four false triangles around a 4-vertex")
             )
 
-    for u in sorted(g.false_vertices):
+    for u in g.sorted_false_vertices:
         for v in rot[u]:
             if g.is_false(v) or emb.degree(v) != 3:
                 continue

@@ -1,10 +1,12 @@
-"""Independent brute-force re-implementation of the discharging scan.
+"""Independent brute-force re-implementation of the discharging scan
+and of the audit's bookkeeping.
 
-Used as the oracle for ledger equivalence: it shares nothing with the
-engine except the raw rotation table and the documented output
-conventions (faces anchored and ordered by their smallest directed edge,
-ledger lines "rule;source;target;via;num/den", zero transfers omitted).
-Everything here is recomputed from scratch with plain dictionaries.
+Used as the oracle for ledger equivalence and as the reference for the
+audit's exact sums: it shares nothing with the engine except the raw
+rotation table and the documented output conventions (faces anchored
+and ordered by their smallest directed edge, ledger lines
+"rule;source;target;via;num/den", zero transfers omitted). Everything
+here is recomputed from scratch with plain dictionaries.
 """
 
 from __future__ import annotations
@@ -192,3 +194,140 @@ def naive_ledger(rotation: dict[int, tuple[int, ...]], false_vertices: set[int])
 
     assert sum(balance.values(), Fraction(0)) == -8
     return lines
+
+
+def naive_audit(rotation, false_vertices, final_charges, transfers) -> dict:
+    """The audit's report fields, recomputed transfer by transfer.
+
+    Each flow and payment is a running `Fraction` sum, accumulated one
+    transfer at a time, and every gate is re-derived from the raw
+    rotation. Transfers are read through their documented attributes
+    (rule, source, target, via, amount), with elements as ("v", id) or
+    ("f", face index). Returns face_flow as {face: (received_heavy,
+    sent_via_false)}, crossing_flow as (face, via, inflow, outflow)
+    tuples, checks as (name, instances, failures) tuples and the sorted
+    negative elements.
+    """
+    deg = {v: len(r) for v, r in rotation.items()}
+    faces = naive_faces(rotation)
+    tails = [[u for u, _ in walk] for walk in faces]
+    r5 = lambda d: Fraction(d - 4, d)  # noqa: E731
+
+    initial_total = Fraction(sum(d - 4 for d in deg.values()) + sum(len(w) - 4 for w in faces))
+    final_total = sum(final_charges.values(), Fraction(0))
+
+    received_heavy = {i: Fraction(0) for i in range(len(faces))}
+    sent_via = {i: Fraction(0) for i in range(len(faces))}
+    routed = {}
+    payments = {}
+    for t in transfers:
+        if t.rule == "R5" and deg[t.source[1]] >= 9:
+            received_heavy[t.target[1]] += t.amount
+        elif t.rule.startswith("R6"):
+            sent_via[t.source[1]] += t.amount
+            key = (t.source[1], t.via)
+            routed[key] = routed.get(key, Fraction(0)) + t.amount
+        elif t.rule in ("R7", "R8") and t.target[0] == "v":
+            key = (t.source[1], t.target[1])
+            payments[key] = payments.get(key, Fraction(0)) + t.amount
+
+    inflow = {}
+    for i, walk in enumerate(faces):
+        for j, (v, nxt) in enumerate(walk):
+            prev = walk[j - 1][0]
+            if v in false_vertices and min(deg[prev], deg[nxt]) >= 9:
+                inflow[(i, v)] = inflow.get((i, v), Fraction(0)) + r5(deg[prev]) + r5(deg[nxt])
+    crossing_flow = [
+        (f, v, inflow.get((f, v), Fraction(0)), routed.get((f, v), Fraction(0)))
+        for f, v in sorted(set(inflow) | set(routed))
+    ]
+
+    def paid(i, v):
+        return payments.get((i, v), Fraction(0))
+
+    drift = () if final_total == initial_total else (f"total drifted from {initial_total} to {final_total}",)
+    checks = [("conservation", 1, drift)]
+
+    failures, instances = [], 0
+    for i in range(len(faces)):
+        got, out = received_heavy[i], sent_via[i]
+        if len(faces[i]) >= 4:
+            instances += 1
+            if got < out:
+                failures.append(f"f{i}: received {got} < routed out {out}")
+        elif out > 0:
+            instances += 1
+            if got < out + 1:
+                failures.append(f"f{i}: received {got}, needs routed out {out} plus 1")
+    checks.append(("face-balance", instances, tuple(failures)))
+
+    failures = [
+        f"f{f} via v{v}: inflow {fin} < 2 * outflow {fout}"
+        for f, v, fin, fout in crossing_flow
+        if fout > 0 and fin < 2 * fout
+    ]
+    checks.append(("crossing-margin", len(crossing_flow), tuple(failures)))
+
+    for small, bound, floor in ((3, 24, Fraction(2, 3)), (4, 12, Fraction(1, 3))):
+        failures, instances = [], 0
+        for i, ts in enumerate(tails):
+            if len(ts) != 3:
+                continue
+            for j, v in enumerate(ts):
+                if v in false_vertices or deg[v] != small:
+                    continue
+                if deg[ts[(j + 1) % 3]] >= bound and deg[ts[(j + 2) % 3]] >= bound:
+                    instances += 1
+                    if paid(i, v) < floor:
+                        failures.append(f"f{i} paid v{v} {paid(i, v)}, needs {floor}")
+        checks.append((f"triangle-pays-{small}-vertex", instances, tuple(failures)))
+
+    failures, instances = [], 0
+    for i, ts in enumerate(tails):
+        if len(ts) != 4 or sum(1 for t in ts if t in false_vertices) > 1:
+            continue
+
+        def heavy_around(j, bound, ts=ts):
+            return all(u in false_vertices or deg[u] >= bound for u in (ts[j - 1], ts[(j + 1) % 4]))
+
+        if any(deg[t] == 3 for t in ts):
+            anchored = any(deg[v] == 3 and heavy_around(j, 24) for j, v in enumerate(ts))
+            due = [v for v in ts if v not in false_vertices and deg[v] <= 4]
+            floor = Fraction(5, 12)
+        else:
+            anchored = any(
+                v not in false_vertices and deg[v] == 4 and heavy_around(j, 12)
+                for j, v in enumerate(ts)
+            )
+            due = [v for v in ts if v not in false_vertices and deg[v] == 4]
+            floor = Fraction(1, 3)
+        if anchored:
+            instances += 1
+            for v in dict.fromkeys(due):
+                if paid(i, v) < floor:
+                    failures.append(f"f{i} paid v{v} {paid(i, v)}, needs {floor}")
+    checks.append(("quad-face-payments", instances, tuple(failures)))
+
+    failures, instances = [], 0
+    for i, ts in enumerate(tails):
+        if len(ts) < 5:
+            continue
+        threes = sum(1 for t in ts if deg[t] == 3)
+        quads = [t for t in ts if t not in false_vertices and deg[t] == 4]
+        if not quads or threes + len(quads) > len(ts) // 2:
+            continue
+        instances += 1
+        for v in dict.fromkeys(quads):
+            if paid(i, v) < Fraction(1, 3):
+                failures.append(f"f{i} paid v{v} {paid(i, v)}, needs 1/3")
+    checks.append(("big-face-payments", instances, tuple(failures)))
+
+    negative = sorted((el, q) for el, q in final_charges.items() if q < 0)
+    return {
+        "initial_total": initial_total,
+        "final_total": final_total,
+        "face_flow": {i: (received_heavy[i], sent_via[i]) for i in range(len(faces))},
+        "crossing_flow": crossing_flow,
+        "checks": checks,
+        "negative_elements": negative,
+    }

@@ -7,9 +7,11 @@ from fractions import Fraction
 from gadgets import (
     big_face_gadget,
     crossing_gadget,
+    doubly_triangular_gadget,
     quad_payment_gadget,
     triangle_payment_gadget,
 )
+from naive_oracle import naive_audit
 from oneplane.audit import audit
 from oneplane.discharging import apply_discharging, find_transitive_false_vertices, vertex
 from oneplane.generators import GeneratorParams, catalog, catalog_names, random_oneplane
@@ -189,3 +191,59 @@ def test_crossing_inflow_covers_exactly_the_transitive_corners():
         inflowing = {(c.face, c.via) for c in report.crossing_flow if c.inflow > 0}
         transitive = find_transitive_false_vertices(g)
         assert inflowing == {(f, v) for f, vs in transitive.items() for v in vs}
+
+
+def _gadget_drawings():
+    """Every valid drawing the gadget builders make over a sweep of their
+    parameters; `squeezed_gadget` and `encircled_gadget` are invalid
+    drawings that cannot be discharged."""
+    out = []
+    for m in (8, 9, 10, 12, 24, 30):
+        for far in ((1, 1), (3, 3), (3, 7), (4, 6), (7, 7)):
+            for sender in ("triangle", "quad"):
+                out.append(crossing_gadget(m, m + 1, *far, sender))
+    for k in (4, 5, 6):
+        for far_b in (3, 8, 9, 11, 12):
+            out.append(crossing_gadget(k, 9, 3, far_b, link_partner_far=True))
+    for small, heavy in ((3, 24), (3, 23), (4, 12), (4, 11), (5, 24)):
+        out.append(triangle_payment_gadget(small, heavy))
+    for anchor, heavy in ((3, 24), (3, 23), (4, 12), (4, 11)):
+        out.append(quad_payment_gadget(anchor, heavy))
+        for mid_far in ((3, 3), (4, 9), (9, 9)):
+            out.append(quad_payment_gadget(anchor, heavy, True, mid_far))
+    out.extend(big_face_gadget(d) for d in (3, 5, 9, 24))
+    out.append(doubly_triangular_gadget())
+    return out
+
+
+def test_grouped_sums_equal_the_per_transfer_reference(corpus_runs):
+    """The audit's grouped exact sums equal the running per-transfer sums
+    on the corpus (catalog included), on the R6 samples and on the
+    gadgets; the corpus fires no R6, so the gadgets are needed."""
+    runs = [(name, g, final, transfers) for name, g, final, transfers in corpus_runs]
+    for i, g in enumerate(R6_SAMPLES + _gadget_drawings()):
+        runs.append((f"gadget:{i}", g, *apply_discharging(g)))
+    fired = set()
+    for name, g, final, transfers in runs:
+        report = audit(g, final, transfers)
+        ref = naive_audit(g.embedding.rotation.rotation, g.false_vertices, final.charges, transfers)
+        assert report.initial_total == ref["initial_total"], name
+        assert report.final_total == ref["final_total"], name
+        assert {
+            i: (f.received_heavy, f.sent_via_false) for i, f in report.face_flow.items()
+        } == ref["face_flow"], name
+        assert [(c.face, c.via, c.inflow, c.outflow) for c in report.crossing_flow] == ref[
+            "crossing_flow"
+        ], name
+        assert [(c.name, c.instances, c.failures) for c in report.checks] == ref["checks"], name
+        assert list(report.negative_elements) == ref["negative_elements"], name
+        fired |= {t.rule for t in transfers}
+        fired |= {c.name for c in report.checks if c.instances}
+    assert {"R1", "R2", "R3", "R4", "R5", "R6.1", "R6.2", "R6.3", "R6.4", "R7", "R8"} <= fired
+    assert {
+        "crossing-margin",
+        "triangle-pays-3-vertex",
+        "triangle-pays-4-vertex",
+        "quad-face-payments",
+        "big-face-payments",
+    } <= fired

@@ -7,11 +7,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gadgets import crossing_gadget
 from naive_oracle import naive_ledger
 from oneplane.discharging import (
     apply_discharging,
+    exact_sum,
     face,
     find_special_faces,
     find_transitive_false_vertices,
@@ -32,6 +35,31 @@ def wheel(k: int) -> dict[int, list[int]]:
     for i in range(1, k + 1):
         rot[i] = [0, rim(i - 1), rim(i + 1)]
     return rot
+
+
+# Fractions with small and with over-64-bit denominators, zeros and
+# negatives included.
+fractions = st.one_of(
+    st.fractions(max_denominator=60),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**90), max_value=2**90),
+        st.integers(min_value=1, max_value=2**100),
+    ),
+    st.just(Fraction(0)),
+)
+
+
+@given(st.lists(fractions, max_size=40))
+@example([])
+@example([Fraction(0)])
+@example([Fraction(1, 3), Fraction(-1, 3)])
+@example([Fraction(1, 2**65 + 1), Fraction(2**64, 2**65 + 1), Fraction(-7, 2**70)])
+def test_exact_sum_equals_fraction_sum(values):
+    total = exact_sum(values)
+    assert type(total) is Fraction
+    assert total == sum(values, Fraction(0))
+    assert exact_sum(iter(values)) == total
 
 
 def test_initial_charges_on_plane_k4():

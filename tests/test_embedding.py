@@ -106,6 +106,30 @@ def test_corpus_faces_match_independent_tracer(corpus):
         assert_matches_oracle(g.embedding.rotation.rotation)
 
 
+def assert_degree_tables(emb):
+    rotation = emb.rotation.rotation
+    assert emb.degrees == {v: len(r) for v, r in rotation.items()}
+    assert emb.face_degrees == tuple(len(walk) for walk in naive_faces(rotation))
+    assert all(emb.degree(v) == len(r) for v, r in rotation.items())
+    assert [emb.face_degree(i) for i in range(emb.face_count())] == list(emb.face_degrees)
+    # derived once: every access returns the same table
+    assert emb.degrees is emb.degrees
+    assert emb.face_degrees is emb.face_degrees
+
+
+@pytest.mark.parametrize("spokes", [3, 4, 5, 7, 30, 300, 3000])
+def test_turned_wheel_degree_tables_match_rotation_and_walks(spokes):
+    emb = build(turned_wheel(spokes, seed=spokes))
+    assert_degree_tables(emb)
+    assert emb.degrees[0] == spokes
+    assert sorted(emb.face_degrees) == [3] * spokes + [spokes]
+
+
+def test_corpus_degree_tables_match_rotation_and_walks(corpus):
+    for _, g in corpus:
+        assert_degree_tables(g.embedding)
+
+
 @pytest.mark.parametrize(
     "rotation, message",
     [

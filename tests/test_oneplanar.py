@@ -161,6 +161,13 @@ def test_crossing_neighborhoods_are_derived_once_per_drawing():
     assert crossing_neighborhoods(g) is crossing_neighborhoods(g)
 
 
+def test_sorted_false_vertices_are_derived_once_per_drawing(corpus):
+    for name, g in corpus:
+        assert g.sorted_false_vertices == tuple(sorted(g.false_vertices)), name
+        assert g.sorted_false_vertices is g.sorted_false_vertices, name
+    assert [h.false_vertex for h in crossing_neighborhoods(g)] == list(g.sorted_false_vertices)
+
+
 def test_cube_plus_diagonals_has_six_neighborhoods():
     g = catalog("cube-plus-diagonals")
     hoods = crossing_neighborhoods(g)
