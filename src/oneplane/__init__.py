@@ -8,7 +8,6 @@ from .discharging import (
     Transfer,
     apply_discharging,
     find_special_faces,
-    find_transitive_false_vertices,
     initial_charges,
     ledger_lines,
 )
@@ -33,7 +32,6 @@ from .generators import (
 )
 from .lightedge import (
     LightEdgeWitness,
-    LightType,
     PROFILES,
     check_light_edge_guarantee,
     classify_edge,

@@ -31,7 +31,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discharging import ZERO, ChargeState, Element, Transfer, exact_sum, transitive_corners
+from .discharging import (
+    ZERO,
+    ChargeState,
+    Element,
+    Transfer,
+    exact_sum,
+    initial_total,
+    transitive_corners,
+)
 from .oneplanar import AssociatedPlaneGraph
 
 
@@ -91,9 +99,7 @@ def audit(
     emb = g.embedding
     deg = emb.degrees
     face_count = emb.face_count()
-    initial_total = Fraction(
-        sum(deg.values()) + sum(emb.face_degrees) - 4 * (len(deg) + face_count)
-    )
+    initial = initial_total(g)
     final_total = final.total()
 
     # amounts per group, each group summed once below
@@ -144,16 +150,16 @@ def audit(
             "conservation",
             1,
             ()
-            if final_total == initial_total
-            else (f"total drifted from {initial_total} to {final_total}",),
+            if final_total == initial
+            else (f"total drifted from {initial} to {final_total}",),
         ),
     )
 
     negative = tuple(sorted((el, charge) for el, charge in final.charges.items() if charge < 0))
 
     return AuditReport(
-        conserved=final_total == initial_total,
-        initial_total=initial_total,
+        conserved=final_total == initial,
+        initial_total=initial,
         final_total=final_total,
         face_flow=face_flow,
         crossing_flow=crossing_flow,

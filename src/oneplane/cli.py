@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import graphio
 from .audit import audit as run_audit
-from .discharging import apply_discharging, element_label, initial_charges, ledger_lines
+from .discharging import apply_discharging, element_label, initial_total, ledger_lines
 from .embedding import Disconnected, MalformedRotation, NotPlane
 from .generators import GenerationFailed, GeneratorParams, catalog, catalog_names, random_oneplane
 from .lightedge import (
@@ -166,7 +166,7 @@ def _cmd_recover(args, g) -> int:
         "input": args.input,
         "vertices": len(view.vertices),
         "edges": [list(e) for e in view.edges],
-        "degrees": {str(v): view.degree(v) for v in view.vertices},
+        "degrees": {str(v): view.degrees[v] for v in view.vertices},
         "min_degree": view.min_degree(),
     }
     _emit(doc, args.format)
@@ -177,7 +177,7 @@ def _witness_dict(w) -> dict:
     return {
         "edge": list(w.edge),
         "degrees": list(w.degrees),
-        "type": w.light_type.tag,
+        "type": w.light_type,
     }
 
 
@@ -203,18 +203,17 @@ def _cmd_light_edges(args, g) -> int:
 
 @_on_valid_drawing
 def _cmd_discharge(args, g) -> int:
-    init = initial_charges(g)
-    final, transfers = apply_discharging(g, init)
-    initial_total, final_total = init.total(), final.total()
+    final, transfers = apply_discharging(g)
+    initial, final_total = initial_total(g), final.total()
     rule_counts: dict[str, int] = {}
     for t in transfers:
         rule_counts[t.rule] = rule_counts.get(t.rule, 0) + 1
     doc = {
         "command": "discharge",
         "input": args.input,
-        "initial_total": str(initial_total),
+        "initial_total": str(initial),
         "final_total": str(final_total),
-        "conserved": final_total == initial_total,
+        "conserved": final_total == initial,
         "transfers": len(transfers),
         "rule_counts": dict(sorted(rule_counts.items())),
     }

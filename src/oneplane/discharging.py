@@ -71,6 +71,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .oneplanar import (
     AssociatedPlaneGraph,
@@ -120,8 +121,7 @@ def element_label(el: Element) -> str:
     return f"{el[0]}{el[1]}"
 
 
-@dataclass(frozen=True, slots=True)
-class Transfer:
+class Transfer(NamedTuple):
     """One rule-tagged charge movement. R6 transfers name the false
     vertex they are routed through."""
 
@@ -142,9 +142,6 @@ class Transfer:
 @dataclass(frozen=True)
 class ChargeState:
     charges: dict[Element, Fraction]
-
-    def of(self, el: Element) -> Fraction:
-        return self.charges[el]
 
     def total(self) -> Fraction:
         return exact_sum(self.charges.values())
@@ -178,6 +175,14 @@ def initial_charges(g: AssociatedPlaneGraph) -> ChargeState:
     for i, d in enumerate(emb.face_degrees):
         charges[face(i)] = Fraction(d - 4)
     return ChargeState(charges)
+
+
+def initial_total(g: AssociatedPlaneGraph) -> Fraction:
+    """The total of `initial_charges(g)`, taken in integers from the
+    degree tables; -8 on a sphere embedding."""
+    emb = g.embedding
+    deg = emb.degrees
+    return Fraction(sum(deg.values()) + sum(emb.face_degrees) - 4 * (len(deg) + emb.face_count()))
 
 
 @dataclass(frozen=True)
@@ -233,15 +238,6 @@ def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int
                 if deg[prev] >= 9 and deg[nxt] >= 9:
                     out.append((i, prev, v, nxt))
     return out
-
-
-def find_transitive_false_vertices(g: AssociatedPlaneGraph) -> dict[int, tuple[int, ...]]:
-    """Per face, the false vertices both of whose face-neighbors have
-    degree at least 9. Only these may route R6 transfers off the face."""
-    out: dict[int, dict[int, None]] = {}
-    for i, _, v, _ in transitive_corners(g):
-        out.setdefault(i, {})[v] = None
-    return {i: tuple(found) for i, found in out.items()}
 
 
 def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Transfer]:
@@ -327,18 +323,13 @@ def _apply(charges: dict[Element, Fraction], transfers: list[Transfer]) -> None:
         charges[t.target] += t.amount
 
 
-def apply_discharging(
-    g: AssociatedPlaneGraph, initial: ChargeState | None = None
-) -> tuple[ChargeState, list[Transfer]]:
-    """Run all rules and return the final state plus the full ledger.
-
-    `initial` is `initial_charges(g)`, when the caller already holds it.
-    """
+def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transfer]]:
+    """Run all rules and return the final state plus the full ledger."""
     emb = g.embedding
     deg = emb.degrees
     fdeg = emb.face_degrees
     false = g.false_vertices
-    charges = dict((initial if initial is not None else initial_charges(g)).charges)
+    charges = initial_charges(g).charges
 
     transfers = _phase_a(g, find_special_faces(g))
     _apply(charges, transfers)

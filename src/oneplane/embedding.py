@@ -53,9 +53,10 @@ class PlaneEmbedding:
     directed edge to the index of the unique face walk containing it.
     Boundary walks carry multiplicity: a bridge contributes both of its
     directions to the same face, and a cut vertex may appear several
-    times on one walk. The sorted vertices, the vertex degrees, the face
-    degrees and the face tails are derived once, on first use; the hot
-    loops of the discharging engine and the audit index these tables.
+    times on one walk. The sorted `vertices`, the vertex `degrees`, the
+    `face_degrees` and the face tails, read through `face_tails(i)`, are
+    derived once, on first use; the hot loops of the discharging engine
+    and the audit index these tables.
     """
 
     rotation: RotationSystem
@@ -80,9 +81,6 @@ class PlaneEmbedding:
     def _face_tails(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(t for t, _ in walk) for walk in self.faces)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def vertex_count(self) -> int:
         return len(self.rotation.rotation)
 
@@ -91,9 +89,6 @@ class PlaneEmbedding:
 
     def face_count(self) -> int:
         return len(self.faces)
-
-    def face_degree(self, i: int) -> int:
-        return self.face_degrees[i]
 
     def face_tails(self, i: int) -> tuple[int, ...]:
         """Vertices along face i, with multiplicity, in walk order."""

@@ -131,9 +131,9 @@ def quadrangulation_diagonals(
     violations from validation as RecoveredMultiEdge-kind errors.
     """
     emb = build_embedding(q)
-    for i in range(emb.face_count()):
-        if emb.face_degree(i) != 4:
-            raise NotQuadrangulation(f"face {i} has degree {emb.face_degree(i)}")
+    for i, d in enumerate(emb.face_degrees):
+        if d != 4:
+            raise NotQuadrangulation(f"face {i} has degree {d}")
     selected = list(range(emb.face_count())) if faces is None else list(faces)
 
     rotation = {v: list(r) for v, r in q.rotation.items()}
@@ -214,7 +214,7 @@ def _grow_quadrangulation(rng: random.Random, size: int) -> dict[int, list[int]]
         splits = size - (3 * base - 4)
     for _ in range(splits):
         emb = build_embedding(RotationSystem.from_mapping(rotation))
-        quads = [i for i in range(emb.face_count()) if emb.face_degree(i) == 4]
+        quads = [i for i, d in enumerate(emb.face_degrees) if d == 4]
         walk = emb.face_tails(rng.choice(quads))
         if rng.random() < 0.5:
             walk = walk[1:] + walk[:1]  # split along the other diagonal

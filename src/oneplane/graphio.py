@@ -102,8 +102,9 @@ def loads(text: str) -> AssociatedPlaneGraph:
 def dumps(g: AssociatedPlaneGraph) -> str:
     """Serialize a drawing to its canonical JSON text."""
     rot = g.embedding.rotation.rotation
+    false = g.false_vertices
     doc = {
-        "vertices": [{"id": v, "false": g.is_false(v)} for v in g.embedding.vertices],
+        "vertices": [{"id": v, "false": v in false} for v in g.embedding.vertices],
         "rotation": {str(v): list(rot[v]) for v in g.embedding.vertices},
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -30,17 +30,10 @@ PROFILES: dict[str, dict[int, int]] = {
 DEFAULT_PROFILE = "thm12"
 
 
-@dataclass(frozen=True)
-class LightType:
-    """A bounded degree type, tagged by its smaller endpoint degree."""
-
-    tag: str
-    profile: str
-
-
-def classify_edge(a: int, b: int, profile: str = DEFAULT_PROFILE) -> LightType | None:
+def classify_edge(a: int, b: int, profile: str = DEFAULT_PROFILE) -> str | None:
     """Light type of an edge with endpoint degrees a and b, or None.
 
+    The type is tagged by its smaller endpoint degree, as "T3" to "T7".
     Order-insensitive. When several types would match, the one tagged by
     the smaller endpoint degree wins.
     """
@@ -49,7 +42,7 @@ def classify_edge(a: int, b: int, profile: str = DEFAULT_PROFILE) -> LightType |
     lo, hi = min(a, b), max(a, b)
     bound = PROFILES[profile].get(lo)
     if bound is not None and hi <= bound:
-        return LightType(f"T{lo}", profile)
+        return f"T{lo}"
     return None
 
 
@@ -57,7 +50,7 @@ def classify_edge(a: int, b: int, profile: str = DEFAULT_PROFILE) -> LightType |
 class LightEdgeWitness:
     edge: tuple[int, int]
     degrees: tuple[int, int]
-    light_type: LightType
+    light_type: str
 
 
 def find_light_edges(
@@ -66,10 +59,11 @@ def find_light_edges(
     """All light edges of the recovered graph, sorted by (type, degree, ids)."""
     found = []
     for a, b in view.edges:
-        lt = classify_edge(view.degree(a), view.degree(b), profile)
-        if lt is not None:
-            found.append(LightEdgeWitness((a, b), (view.degree(a), view.degree(b)), lt))
-    found.sort(key=lambda w: (w.light_type.tag, min(w.degrees), w.edge))
+        degrees = (view.degrees[a], view.degrees[b])
+        tag = classify_edge(*degrees, profile)
+        if tag is not None:
+            found.append(LightEdgeWitness((a, b), degrees, tag))
+    found.sort(key=lambda w: (w.light_type, min(w.degrees), w.edge))
     return found
 
 

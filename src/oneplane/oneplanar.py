@@ -35,8 +35,10 @@ class RecoveredMultiEdge(ValueError):
 @dataclass(frozen=True)
 class AssociatedPlaneGraph:
     """A plane embedding plus the set of vertices marking crossings. The
-    sorted false vertices, the straightening and the crossing
-    neighborhoods are derived once per drawing, on first use."""
+    sorted false vertices, the straightening, the recovered original
+    graph (read through `recover_original`) and the crossing
+    neighborhoods (through `crossing_neighborhoods`) are derived once
+    per drawing, on first use."""
 
     embedding: PlaneEmbedding
     false_vertices: frozenset[int]
@@ -66,12 +68,19 @@ class AssociatedPlaneGraph:
             out.append(CrossingNeighborhood(f, endpoints, faces))  # type: ignore[arg-type]
         return out
 
-    @property
-    def true_vertices(self) -> list[int]:
-        return [v for v in self.embedding.vertices if v not in self.false_vertices]
-
-    def is_false(self, v: int) -> bool:
-        return v in self.false_vertices
+    @cached_property
+    def _original(self) -> OriginalGraphView:
+        """Derived once per drawing, on first use, for `recover_original`.
+        An invalid drawing caches nothing and raises on every access."""
+        edges, problems = self._straightened
+        if problems:
+            raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
+        vertices = tuple(v for v in self.embedding.vertices if v not in self.false_vertices)
+        degrees = {v: 0 for v in vertices}
+        for a, b in edges:
+            degrees[a] += 1
+            degrees[b] += 1
+        return OriginalGraphView(vertices=vertices, edges=tuple(sorted(edges)), degrees=degrees)
 
 
 def build_drawing(
@@ -135,7 +144,7 @@ def _follow_segment(g: AssociatedPlaneGraph, start: int, toward: int) -> tuple[i
     path = [start, toward]
     prev, cur = start, toward
     budget = len(rot) + 1
-    while g.is_false(cur):
+    while cur in g.false_vertices:
         if len(rot[cur]) != 4:
             return ()
         budget -= 1
@@ -161,14 +170,15 @@ def _straighten(
     other than 4, which validate() flags on its own.
     """
     rot = g.embedding.rotation.rotation
+    false = g.false_vertices
     problems: list[Violation] = []
 
     instances: list[tuple[int, int]] = [
         (u, v)
         for u in g.embedding.vertices
-        if not g.is_false(u)
+        if u not in false
         for v in rot[u]
-        if u < v and not g.is_false(v)
+        if u < v and v not in false
     ]
 
     seen_paths: set[tuple[int, ...]] = set()
@@ -220,7 +230,7 @@ def validate(g: AssociatedPlaneGraph) -> ValidationReport:
 
     for f in g.sorted_false_vertices:
         for u in rot[f]:
-            if g.is_false(u) and f < u:
+            if u in g.false_vertices and f < u:
                 violations.append(Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent"))
 
     violations.extend(g._straightened[1])
@@ -240,9 +250,6 @@ class OriginalGraphView:
     edges: tuple[tuple[int, int], ...]
     degrees: dict[int, int]
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def min_degree(self) -> int:
         return min(self.degrees.values())
 
@@ -259,18 +266,12 @@ def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
 
     Raises RecoveredLoop or RecoveredMultiEdge when straightening breaks
     simplicity, and a plain ValueError when a crossing segment cycles
-    through false vertices; each signals an invalid drawing. The
-    straightening is derived once per drawing and shared with `validate`.
+    through false vertices; each signals an invalid drawing, on every
+    call. The straightening is derived once per drawing and shared with
+    `validate`; every call on a valid drawing returns the same view,
+    whose `degrees` callers must not modify.
     """
-    edges, problems = g._straightened
-    if problems:
-        raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
-    vertices = tuple(g.true_vertices)
-    degrees = {v: 0 for v in vertices}
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    return OriginalGraphView(vertices=vertices, edges=tuple(sorted(edges)), degrees=degrees)
+    return g._original
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,7 @@ ENCIRCLED_4_VERTEX = "encircled-4-vertex"
 def is_false_triangle(g: AssociatedPlaneGraph, face: int) -> bool:
     """Whether `face` is a 3-face with a false vertex on it."""
     emb = g.embedding
-    return emb.face_degree(face) == 3 and any(g.is_false(t) for t in emb.face_tails(face))
+    return emb.face_degrees[face] == 3 and any(t in g.false_vertices for t in emb.face_tails(face))
 
 
 def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
@@ -335,16 +336,17 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
     """
     emb = g.embedding
     rot = emb.rotation.rotation
+    false = g.false_vertices
     flags: list[Violation] = []
 
     for v in emb.vertices:
-        d = emb.degree(v)
+        d = emb.degrees[v]
         corners = emb.corner_faces(v)
-        corner_degs = [emb.face_degree(f) for f in corners]
+        corner_degs = [emb.face_degrees[f] for f in corners]
 
-        if d == 3 and not g.is_false(v):
+        if d == 3 and v not in false:
             triangles = sum(1 for fd in corner_degs if fd == 3)
-            false_nbrs = sum(1 for u in rot[v] if g.is_false(u))
+            false_nbrs = sum(1 for u in rot[v] if u in false)
             if triangles >= 2 and false_nbrs >= 2 and not any(fd >= 5 for fd in corner_degs):
                 flags.append(
                     Violation(
@@ -354,18 +356,18 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
                     )
                 )
 
-        if d == 4 and not g.is_false(v) and all(is_false_triangle(g, f) for f in corners):
+        if d == 4 and v not in false and all(is_false_triangle(g, f) for f in corners):
             flags.append(
                 Violation(ENCIRCLED_4_VERTEX, (v,), "four false triangles around a 4-vertex")
             )
 
     for u in g.sorted_false_vertices:
         for v in rot[u]:
-            if g.is_false(v) or emb.degree(v) != 3:
+            if v in false or emb.degrees[v] != 3:
                 continue
             side_a = emb.face_of[(u, v)]
             side_b = emb.face_of[(v, u)]
-            if emb.face_degree(side_a) == 3 and emb.face_degree(side_b) == 3:
+            if emb.face_degrees[side_a] == 3 and emb.face_degrees[side_b] == 3:
                 flags.append(
                     Violation(
                         CROSSING_EDGE_ON_TWO_TRIANGLES,

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gadgets import squeezed_gadget
+import oneplane
 from oneplane import graphio
 from oneplane.cli import main
 from oneplane.generators import catalog, catalog_names
@@ -231,6 +236,27 @@ def test_single_byte_mutations_never_escape_validate(tmp_path, capsys, name, dat
 def test_missing_file_is_a_data_error(capsys):
     assert main(["validate", "/nonexistent/x.json"]) == 65
     capsys.readouterr()
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m oneplane.cli ARGS` in a fresh interpreter, importing
+    the package from the same source tree as this test."""
+    src = str(Path(oneplane.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "oneplane.cli", *args],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+def test_entry_passes_the_exit_code_to_the_process(tmp_path):
+    done = _run_module("catalog", "k4")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == graphio.dumps(catalog("k4")).encode("utf-8")
+    done = _run_module("validate", str(tmp_path / "missing.json"))
+    assert done.returncode == 65, done.stderr
 
 
 def test_json_reports_are_byte_identical(k5_file, capsys):

@@ -17,9 +17,9 @@ from oneplane.discharging import (
     exact_sum,
     face,
     find_special_faces,
-    find_transitive_false_vertices,
     initial_charges,
     ledger_lines,
+    transitive_corners,
     vertex,
 )
 from oneplane.generators import GeneratorParams, catalog, random_oneplane
@@ -64,22 +64,22 @@ def test_exact_sum_equals_fraction_sum(values):
 
 def test_initial_charges_on_plane_k4():
     state = initial_charges(build_drawing(K4))
-    assert all(state.of(vertex(v)) == -1 for v in range(4))
-    assert all(state.of(face(i)) == -1 for i in range(4))
+    assert all(state.charges[vertex(v)] == -1 for v in range(4))
+    assert all(state.charges[face(i)] == -1 for i in range(4))
     assert state.total() == -8
 
 
 def test_false_vertex_starts_at_zero():
     g = catalog("k5-one-crossing")
     state = initial_charges(g)
-    assert state.of(vertex(5)) == 0
+    assert state.charges[vertex(5)] == 0
     assert state.total() == -8
 
 
 def test_heavy_vertex_initial_charge_and_rate():
     g = crossing_gadget(24, 24, 3, 3)
     state = initial_charges(g)
-    assert state.of(vertex(0)) == 20
+    assert state.charges[vertex(0)] == 20
     _, transfers = apply_discharging(g)
     rates = {t.amount for t in transfers if t.rule == "R5" and t.source == vertex(0)}
     assert rates == {Fraction(5, 6)}  # 20/24 per incident face
@@ -119,16 +119,15 @@ def test_pivot_rate_vs_partner_rate():
 
 def test_transitive_false_vertices():
     g = crossing_gadget(9, 10)
-    trans = find_transitive_false_vertices(g)
     triangle = next(
-        i for i in range(g.embedding.face_count()) if g.embedding.face_degree(i) == 3
+        i for i in range(g.embedding.face_count()) if g.embedding.face_degrees[i] == 3
     )
-    assert trans.get(triangle) == (2,)
+    assert [v for f, _, v, _ in transitive_corners(g) if f == triangle] == [2]
 
     g = crossing_gadget(8, 24)
-    assert find_transitive_false_vertices(g) == {}
+    assert transitive_corners(g) == []
 
-    assert find_transitive_false_vertices(build_drawing(K4)) == {}
+    assert transitive_corners(build_drawing(K4)) == []
 
 
 def test_eight_wheel_hub_pays_half_everywhere_and_ends_at_zero():
@@ -137,7 +136,7 @@ def test_eight_wheel_hub_pays_half_everywhere_and_ends_at_zero():
     hub = [t for t in transfers if t.source == vertex(0)]
     assert len(hub) == 8
     assert all(t.rule == "R5" and t.amount == Fraction(1, 2) for t in hub)
-    assert final.of(vertex(0)) == 0
+    assert final.charges[vertex(0)] == 0
 
 
 def test_seven_vertex_on_six_false_triangles_ends_at_zero():
@@ -161,7 +160,7 @@ def test_seven_vertex_on_six_false_triangles_ends_at_zero():
     hub = [t for t in transfers if t.source == vertex(0)]
     assert len(hub) == 6
     assert all(t.rule == "R4" and t.amount == Fraction(1, 2) for t in hub)
-    assert final.of(vertex(0)) == 0
+    assert final.charges[vertex(0)] == 0
     assert final.total() == -8
 
 
@@ -170,21 +169,21 @@ def test_plane_k4_uses_only_residual_splits():
     final, transfers = apply_discharging(g)
     assert {t.rule for t in transfers} == {"R7"}
     assert all(t.amount == Fraction(-1, 3) for t in transfers)
-    assert all(final.of(vertex(v)) == -2 for v in range(4))
-    assert all(final.of(face(i)) == 0 for i in range(4))
+    assert all(final.charges[vertex(v)] == -2 for v in range(4))
+    assert all(final.charges[face(i)] == 0 for i in range(4))
 
 
 def test_five_wheel_exercises_r8_prepayment():
     g = build_drawing(wheel(5))
     final, transfers = apply_discharging(g)
     outer = next(
-        i for i in range(g.embedding.face_count()) if g.embedding.face_degree(i) == 5
+        i for i in range(g.embedding.face_count()) if g.embedding.face_degrees[i] == 5
     )
     prepaid = [t for t in transfers if t.rule == "R8" and t.source == face(outer)]
     assert len(prepaid) == 5
     assert all(t.amount == Fraction(2, 3) for t in prepaid)
     # no true 4-vertices: the face keeps its (negative) remainder
-    assert final.of(face(outer)) == 1 - 5 * Fraction(2, 3)
+    assert final.charges[face(outer)] == 1 - 5 * Fraction(2, 3)
     assert final.total() == -8
 
 
@@ -215,7 +214,7 @@ def test_mirror_drawing_discharges_identically():
     final, transfers = apply_discharging(g)
     final_m, transfers_m = apply_discharging(mirrored)
     for v in g.embedding.vertices:
-        assert final.of(vertex(v)) == final_m.of(vertex(v))
+        assert final.charges[vertex(v)] == final_m.charges[vertex(v)]
     faces_a = Counter(c for el, c in final.charges.items() if el[0] == "f")
     faces_b = Counter(c for el, c in final_m.charges.items() if el[0] == "f")
     assert faces_a == faces_b
@@ -246,10 +245,10 @@ def test_r6_routes_only_through_transitive_vertices():
         catalog("k6-three-crossings"),
     ):
         _, transfers = apply_discharging(g)
-        trans = find_transitive_false_vertices(g)
+        trans = {(f, v) for f, _, v, _ in transitive_corners(g)}
         for t in transfers:
             if t.rule.startswith("R6"):
-                assert t.via in trans.get(t.source[1], ())
+                assert (t.source[1], t.via) in trans
 
 
 def test_engine_matches_naive_oracle_spot_checks():

@@ -33,20 +33,20 @@ def build(mapping):
 def test_triangle_has_two_triangular_faces():
     emb = build(TRIANGLE)
     assert emb.face_count() == 2
-    assert [emb.face_degree(i) for i in range(2)] == [3, 3]
+    assert [emb.face_degrees[i] for i in range(2)] == [3, 3]
     assert euler_characteristic(emb) == 2
 
 
 def test_single_edge_is_one_face_of_degree_two():
     emb = build({0: [1], 1: [0]})
     assert emb.face_count() == 1
-    assert emb.face_degree(0) == 2
+    assert emb.face_degrees[0] == 2
 
 
 def test_k4_faces_match_independent_tracer():
     emb = build(K4)
     assert emb.face_count() == 4
-    assert sorted(emb.face_degree(i) for i in range(4)) == [3, 3, 3, 3]
+    assert sorted(emb.face_degrees[i] for i in range(4)) == [3, 3, 3, 3]
     assert euler_characteristic(emb) == 2
     oracle = naive_faces({v: tuple(r) for v, r in K4.items()})
     assert [list(w) for w in emb.faces] == oracle
@@ -55,7 +55,7 @@ def test_k4_faces_match_independent_tracer():
 def test_cube_euler_and_faces():
     emb = build(CUBE)
     assert emb.vertex_count() - emb.edge_count() + emb.face_count() == 8 - 12 + 6
-    assert sorted(emb.face_degree(i) for i in range(6)) == [4] * 6
+    assert sorted(emb.face_degrees[i] for i in range(6)) == [4] * 6
     oracle = naive_faces({v: tuple(r) for v, r in CUBE.items()})
     assert [list(w) for w in emb.faces] == oracle
 
@@ -64,7 +64,7 @@ def test_face_walks_partition_half_edges():
     emb = build(K4)
     walked = [d for walk in emb.faces for d in walk]
     assert len(walked) == len(set(walked)) == 2 * emb.edge_count()
-    assert sum(emb.face_degree(i) for i in range(emb.face_count())) == 2 * emb.edge_count()
+    assert sum(emb.face_degrees[i] for i in range(emb.face_count())) == 2 * emb.edge_count()
 
 
 def test_rebuild_is_deterministic():
@@ -110,8 +110,8 @@ def assert_degree_tables(emb):
     rotation = emb.rotation.rotation
     assert emb.degrees == {v: len(r) for v, r in rotation.items()}
     assert emb.face_degrees == tuple(len(walk) for walk in naive_faces(rotation))
-    assert all(emb.degree(v) == len(r) for v, r in rotation.items())
-    assert [emb.face_degree(i) for i in range(emb.face_count())] == list(emb.face_degrees)
+    assert all(emb.degrees[v] == len(r) for v, r in rotation.items())
+    assert [emb.face_degrees[i] for i in range(emb.face_count())] == list(emb.face_degrees)
     # derived once: every access returns the same table
     assert emb.degrees is emb.degrees
     assert emb.face_degrees is emb.face_degrees

@@ -66,7 +66,7 @@ def test_segment_into_false_vertex_of_wrong_degree_is_reported():
 def test_recover_identity_without_crossings():
     view = recover_original(build_drawing(K4))
     assert view.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    assert all(view.degree(v) == 3 for v in view.vertices)
+    assert all(view.degrees[v] == 3 for v in view.vertices)
 
 
 def test_recover_k5_from_catalog_drawing():
@@ -76,7 +76,9 @@ def test_recover_k5_from_catalog_drawing():
     assert len(view.edges) == 10
     assert sorted(view.degrees.values()) == [4] * 5
     # true-vertex degrees agree between the drawing and the recovery
-    assert all(view.degree(v) == g.embedding.degree(v) for v in view.vertices)
+    assert all(view.degrees[v] == g.embedding.degrees[v] for v in view.vertices)
+    # derived once per drawing: every call returns the same view
+    assert recover_original(g) is view
 
 
 def test_has_edge_agrees_with_edges():
@@ -100,8 +102,9 @@ def test_has_edge_on_directly_constructed_view():
 
 def test_coincident_recovered_edges_raise():
     g = encircled_gadget()
-    with pytest.raises(RecoveredMultiEdge):
-        recover_original(g)
+    for _ in range(2):  # a failed recovery is not cached: every call raises
+        with pytest.raises(RecoveredMultiEdge):
+            recover_original(g)
     assert RECOVERED_MULTI_EDGE in validate(g).kinds()
 
 
@@ -224,7 +227,7 @@ def test_recovery_degree_identity_on_random_instances(seed):
     g = random_oneplane(GeneratorParams(seed, 4 + seed % 20, (seed % 3) / 4))
     view = recover_original(g)
     for v in view.vertices:
-        assert view.degree(v) == g.embedding.degree(v)
+        assert view.degrees[v] == g.embedding.degrees[v]
 
 
 def test_crossing_gadget_validates():
