@@ -13,11 +13,13 @@ Exit codes:
       indicates a bug and should be reported
   64  usage error
   65  unreadable or unparseable input (diagnostic names the byte offset)
+  73  output cannot be written (a --ledger or --out path, or stdout)
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -42,6 +44,7 @@ EX_HYPOTHESIS = 2
 EX_CANDIDATE = 3
 EX_USAGE = 64
 EX_DATA = 65
+EX_CANTCREAT = 73
 
 
 class _UsageError(Exception):
@@ -53,7 +56,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on the first `main` call.
+    Sharing it is safe: `parse_args` returns a fresh namespace on every
+    call and `_Parser.error` raises instead of storing anything."""
     parser = _Parser(prog="oneplane", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -135,8 +142,17 @@ def _validation_doc(args, g, rep) -> dict:
     }
 
 
+def _load(path: str):
+    """The input drawing. A file that cannot be read is an input error at
+    byte 0, so that an OSError reaching `main` is always an output error."""
+    try:
+        return graphio.load(path)
+    except OSError as err:
+        raise graphio.GraphFormatError(str(err)) from None
+
+
 def _cmd_validate(args) -> int:
-    g = graphio.load(args.input)
+    g = _load(args.input)
     rep = validate(g)
     _emit(_validation_doc(args, g, rep), args.format)
     return EX_OK if rep.ok else EX_INVALID
@@ -148,7 +164,7 @@ def _on_valid_drawing(command):
     exit 1. Diagnostics are computed only for a printed report."""
 
     def run(args) -> int:
-        g = graphio.load(args.input)
+        g = _load(args.input)
         rep = validate(g)
         if not rep.ok:
             _emit(_validation_doc(args, g, rep), args.format)
@@ -258,18 +274,17 @@ def _cmd_gen(args) -> int:
     except (GenerationFailed, ValueError) as err:
         print(f"generation failed: {err}", file=sys.stderr)
         return EX_INVALID
-    text = graphio.dumps(g)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return EX_OK
+    return _write_drawing(g, args.out)
 
 
 def _cmd_catalog(args) -> int:
-    text = graphio.dumps(catalog(args.name))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    return _write_drawing(catalog(args.name), args.out)
+
+
+def _write_drawing(g, out: str | None) -> int:
+    text = graphio.dumps(g)
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EX_OK
@@ -302,8 +317,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error at byte {err.byte_offset}: {err}", file=sys.stderr)
         return EX_DATA
     except OSError as err:
-        print(f"input error at byte 0: {err}", file=sys.stderr)
-        return EX_DATA
+        print(f"output error: {err}", file=sys.stderr)
+        return EX_CANTCREAT
     except (MalformedRotation, Disconnected, NotPlane) as err:
         print(f"invalid drawing: {type(err).__name__}: {err}", file=sys.stderr)
         return EX_INVALID

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gadgets import squeezed_gadget
 import oneplane
-from oneplane import graphio
+from oneplane import cli, graphio
 from oneplane.cli import main
 from oneplane.generators import catalog, catalog_names
 from oneplane.oneplanar import build_drawing
@@ -238,17 +238,39 @@ def test_missing_file_is_a_data_error(capsys):
     capsys.readouterr()
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
-    """`python -m oneplane.cli ARGS` in a fresh interpreter, importing
-    the package from the same source tree as this test."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discharge", "{k5}", "--ledger", "{out}"],
+        ["gen", "--seed", "5", "--size", "14", "--out", "{out}"],
+        ["catalog", "k4", "--out", "{out}"],
+    ],
+    ids=["discharge", "gen", "catalog"],
+)
+def test_unwritable_output_is_an_output_error(argv, k5_file, tmp_path, capsys):
+    out = str(tmp_path / "missing-dir" / "x")
+    assert main([a.format(k5=k5_file, out=out) for a in argv]) == 73
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output error: ") and out in captured.err
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter, importing the package from
+    the same source tree as this test."""
     src = str(Path(oneplane.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "oneplane.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m oneplane.cli ARGS` in a fresh interpreter."""
+    return _run_python("-m", "oneplane.cli", *args)
 
 
 def test_entry_passes_the_exit_code_to_the_process(tmp_path):
@@ -257,6 +279,37 @@ def test_entry_passes_the_exit_code_to_the_process(tmp_path):
     assert done.stdout == graphio.dumps(catalog("k4")).encode("utf-8")
     done = _run_module("validate", str(tmp_path / "missing.json"))
     assert done.returncode == 65, done.stderr
+
+
+def test_parser_is_built_on_the_first_call_and_only_once(k5_file, capsys):
+    done = _run_python(
+        "-c",
+        "from oneplane import cli; print(cli._build_parser.cache_info().currsize)",
+    )
+    assert done.stdout == b"0\n", done.stderr  # importing builds nothing
+    for argv in ([], ["catalog", "nosuch"], ["validate", k5_file], ["audit", k5_file]):
+        main(argv)
+    capsys.readouterr()
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_shared_parser_carries_no_state_between_calls(k5_file, tmp_path, capsys, monkeypatch):
+    # Each call in this process must print what it prints as the first
+    # call of a fresh one. COLUMNS fixes the help text's width for both.
+    monkeypatch.setenv("COLUMNS", "80")
+    ledger = str(tmp_path / "k5.ledger")
+    for argv in (
+        [],
+        ["--help"],
+        ["catalog", "nosuch"],
+        ["light-edges", k5_file, "--format", "json"],
+        ["discharge", k5_file, "--format", "json", "--ledger", ledger],
+        ["audit", k5_file, "--format", "json"],
+    ):
+        first = _run_module(*argv)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out.encode(), err.encode()) == (first.returncode, first.stdout, first.stderr)
 
 
 def test_json_reports_are_byte_identical(k5_file, capsys):

@@ -7,11 +7,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from gadgets import crossing_gadget
 from naive_oracle import naive_ledger
+from oneplane.audit import audit
 from oneplane.discharging import (
     apply_discharging,
     exact_sum,
@@ -22,7 +23,8 @@ from oneplane.discharging import (
     transitive_corners,
     vertex,
 )
-from oneplane.generators import GeneratorParams, catalog, random_oneplane
+from oneplane.generators import GenerationFailed, GeneratorParams, catalog, random_oneplane
+from oneplane.lightedge import check_light_edge_guarantee
 from oneplane.oneplanar import build_drawing
 
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
@@ -331,3 +333,32 @@ def test_r6_band_boundaries(m):
         "one-sided": [(rule, a) for a in one_sided],
         "quad": [(rule, a) for a in quad],
     }
+
+
+def _observed(g):
+    final, transfers = apply_discharging(g)
+    report = audit(g, final, transfers)
+    verdict = check_light_edge_guarantee(g)
+    return ledger_lines(transfers), verdict, report.checks, report.negative_elements
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(4, 40),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_rotation_start_does_not_matter(seed, size, density, rng):
+    # Faces are indexed from their smallest directed edge and crossing
+    # labels start at the lowest id, so no output sees where a stored
+    # rotation starts.
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    turned = {}
+    for v, r in g.embedding.rotation.rotation.items():
+        k = rng.randrange(len(r))
+        turned[v] = r[k:] + r[:k]
+    assert _observed(build_drawing(turned, g.false_vertices)) == _observed(g)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from oneplane import graphio
-from oneplane.generators import GeneratorParams, catalog, random_oneplane
+from oneplane.generators import GenerationFailed, GeneratorParams, catalog, random_oneplane
 
 
 def test_round_trip_is_identity_on_catalog():
@@ -16,6 +18,20 @@ def test_round_trip_is_identity_on_catalog():
         assert graphio.dumps(again) == text
         assert again.embedding.rotation == g.embedding.rotation
         assert again.false_vertices == g.false_vertices
+
+
+@given(st.integers(0, 10_000), st.integers(4, 40), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+@settings(max_examples=40, deadline=None)
+def test_round_trip_is_identity_on_generated_drawings(seed, size, density):
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    text = graphio.dumps(g)
+    again = graphio.loads(text)
+    assert graphio.dumps(again) == text
+    assert again.embedding.rotation == g.embedding.rotation
+    assert again.false_vertices == g.false_vertices
 
 
 def test_round_trip_preserves_rotation_anchor():
