@@ -1,20 +1,37 @@
 """Post-run audit of a discharging ledger.
 
 The audit recomputes, from the ledger and the drawing, the bookkeeping
-quantities the argument's correctness rests on, and checks them exactly:
+quantities the argument's correctness rests on, and checks them exactly
+in seven gates, reported in this order and under these names:
 
-- conservation: the final total equals the initial total;
-- face balance: for every face, the charge received from its incident
-  9+-vertices (rho+) covers the charge it routed out through transitive
-  false vertices (rho-), with a margin of 1 on triangles that sent
-  anything;
-- crossing margin: per (face, routing vertex), the income attributable
-  to the routing vertex's two heavy face-neighbors (pi+) is at least
-  twice the amount routed out through it (pi-);
-- four payment guarantees for small-degree vertices, each gated on the
-  degree hypotheses that make it provable for every valid drawing, not
-  only for extremal ones. Gates that match nothing are recorded with an
-  instance count of zero, never failed.
+- `conservation`: the final total equals the initial total.
+- `face-balance`: the charge a face received by R5 from its incident
+  9+-vertices (rho+) covers the charge it routed out by R6 through
+  transitive false vertices (rho-): rho+ >= rho- on every 4+-face, and
+  rho+ >= rho- + 1 on every triangle with rho- > 0.
+- `crossing-margin`: per (face, routing vertex), the R5 income from the
+  routing vertex's two heavy face-neighbors (pi+) is at least twice
+  the amount routed out through it (pi-) whenever pi- > 0.
+- `triangle-pays-3-vertex`: a triangle pays its true 3-vertex at least
+  2/3 when the other two corners have degree at least 24.
+- `triangle-pays-4-vertex`: a triangle pays its true 4-vertex at least
+  1/3 when the other two corners have degree at least 12.
+- `quad-face-payments`: a 4-face with at most one false vertex is
+  anchored by a true vertex whose true face-neighbors are heavy. If the
+  face has a 3-vertex, the anchor is a 3-vertex, heavy means degree at
+  least 24, and every incident true vertex of degree at most 4 gets at
+  least 5/12. Otherwise the anchor is a 4-vertex, heavy means degree at
+  least 12, and every incident true 4-vertex gets at least 1/3.
+- `big-face-payments`: a 5+-face pays each incident true 4-vertex at
+  least 1/3 when at most half of its boundary positions hold 3-vertices
+  or true 4-vertices.
+
+The four payment gates (the last four) are gated on the degree
+hypotheses that make them provable for every valid drawing, not only
+for extremal ones. Gates that match nothing are recorded with an
+instance count of zero, never failed. A triangle gate counts one
+instance per (face, vertex), the other face gates one per face, and
+`crossing-margin` one per (face, routing vertex) with income or outflow.
 
 Final-charge nonnegativity is deliberately not asserted: negative final
 charges are possible on ordinary inputs and are merely reported.
@@ -22,7 +39,8 @@ charges are possible on ordinary inputs and are merely reported.
 The audit collects the amounts of each group (a face's heavy income and
 routed outflow, a (face, routing vertex) pair's outflow, a transitive
 corner's income and a (face, vertex) payment) and sums each group once
-with `discharging.exact_sum`, so every reported value is exact.
+with `discharging.exact_sum`, so every reported value is exact. The face
+flows and every face-indexed gate come from one pass over the faces.
 """
 
 from __future__ import annotations
@@ -32,7 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .discharging import (
-    ZERO,
     ChargeState,
     Element,
     Transfer,
@@ -85,20 +102,25 @@ class AuditReport:
         return self.conserved and all(c.passed for c in self.checks)
 
     def check(self, name: str) -> CheckOutcome:
-        return next(c for c in self.checks if c.name == name)
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(f"no audit gate named {name!r}")
 
 
 TWO_THIRDS = Fraction(2, 3)
 ONE_THIRD = Fraction(1, 3)
 FIVE_TWELFTHS = Fraction(5, 12)
 
+# The triangle gates: (degree of the paid vertex, least degree of the
+# two other corners, floor).
+_TRIANGLE_GATES = ((3, 24, TWO_THIRDS), (4, 12, ONE_THIRD))
+
 
 def audit(
     g: AssociatedPlaneGraph, final: ChargeState, transfers: list[Transfer]
 ) -> AuditReport:
-    emb = g.embedding
-    deg = emb.degrees
-    face_count = emb.face_count()
+    deg = g.embedding.degrees
     initial = initial_total(g)
     final_total = final.total()
 
@@ -119,11 +141,7 @@ def audit(
         elif rule in ("R7", "R8") and t.target[0] == "v":
             paid[t.source[1], t.target[1]].append(t.amount)
 
-    face_flow = {
-        i: FaceFlow(exact_sum(received_heavy.get(i, ())), exact_sum(sent_via.get(i, ())))
-        for i in range(face_count)
-    }
-    payments = {key: exact_sum(amounts) for key, amounts in paid.items()}
+    face_flow, face_checks = _face_pass(g, received_heavy, sent_via, paid)
 
     # pi+, per (face, routing vertex), over its transitive corners; the
     # R5 amount (d-4)/d is built once per degree
@@ -135,26 +153,19 @@ def audit(
         CrossingFlow(f, v, exact_sum(income.get((f, v), ())), exact_sum(routed.get((f, v), ())))
         for f, v in sorted(income.keys() | routed.keys())
     )
-
-    checks = [
-        _check_face_balance(emb, face_flow),
-        _check_crossing_margin(crossing_flow),
-        _check_triangle_payments(g, payments, degree=3, neighbor_bound=24, floor=TWO_THIRDS),
-        _check_triangle_payments(g, payments, degree=4, neighbor_bound=12, floor=ONE_THIRD),
-        _check_quad_payments(g, payments),
-        _check_big_face_payments(g, payments),
-    ]
-    checks.insert(
-        0,
-        CheckOutcome(
-            "conservation",
-            1,
-            ()
-            if final_total == initial
-            else (f"total drifted from {initial} to {final_total}",),
-        ),
+    margin_failures = tuple(
+        f"f{c.face} via v{c.via}: inflow {c.inflow} < 2 * outflow {c.outflow}"
+        for c in crossing_flow
+        if c.outflow > 0 and c.inflow < 2 * c.outflow
     )
 
+    drift = () if final_total == initial else (f"total drifted from {initial} to {final_total}",)
+    checks = (
+        CheckOutcome("conservation", 1, drift),
+        face_checks[0],
+        CheckOutcome("crossing-margin", len(crossing_flow), margin_failures),
+        *face_checks[1:],
+    )
     negative = tuple(sorted((el, charge) for el, charge in final.charges.items() if charge < 0))
 
     return AuditReport(
@@ -163,151 +174,83 @@ def audit(
         final_total=final_total,
         face_flow=face_flow,
         crossing_flow=crossing_flow,
-        checks=tuple(checks),
+        checks=checks,
         negative_elements=negative,
     )
 
 
-def _check_face_balance(emb, face_flow: dict[int, FaceFlow]) -> CheckOutcome:
-    fdeg = emb.face_degrees
-    failures = []
-    instances = 0
-    for i, flow in face_flow.items():
-        if fdeg[i] >= 4:
-            instances += 1
-            if flow.received_heavy < flow.sent_via_false:
-                failures.append(
-                    f"f{i}: received {flow.received_heavy} < routed out {flow.sent_via_false}"
-                )
-        elif flow.sent_via_false > 0:
-            instances += 1
-            if flow.received_heavy < flow.sent_via_false + 1:
-                failures.append(
-                    f"f{i}: received {flow.received_heavy}, needs routed out"
-                    f" {flow.sent_via_false} plus 1"
-                )
-    return CheckOutcome("face-balance", instances, tuple(failures))
-
-
-def _check_crossing_margin(crossing_flow: tuple[CrossingFlow, ...]) -> CheckOutcome:
-    failures = [
-        f"f{c.face} via v{c.via}: inflow {c.inflow} < 2 * outflow {c.outflow}"
-        for c in crossing_flow
-        if c.outflow > 0 and c.inflow < 2 * c.outflow
-    ]
-    return CheckOutcome("crossing-margin", len(crossing_flow), tuple(failures))
-
-
-def _payment(payments: dict[tuple[int, int], Fraction], f: int, v: int) -> Fraction:
-    return payments.get((f, v), ZERO)
-
-
-def _check_triangle_payments(
+def _face_pass(
     g: AssociatedPlaneGraph,
-    payments: dict[tuple[int, int], Fraction],
-    degree: int,
-    neighbor_bound: int,
-    floor: Fraction,
-) -> CheckOutcome:
-    """A triangle pays its true `degree`-vertex at least `floor` whenever
-    the other two corners have degree at least `neighbor_bound`."""
+    received_heavy: dict[int, list[Fraction]],
+    sent_via: dict[int, list[Fraction]],
+    paid: dict[tuple[int, int], list[Fraction]],
+) -> tuple[dict[int, FaceFlow], list[CheckOutcome]]:
+    """The face flows and the five face-indexed gates, in report order,
+    from one pass over the faces."""
     emb = g.embedding
     deg = emb.degrees
     false = g.false_vertices
-    failures = []
-    instances = 0
+    names = (
+        "face-balance",
+        "triangle-pays-3-vertex",
+        "triangle-pays-4-vertex",
+        "quad-face-payments",
+        "big-face-payments",
+    )
+    instances = dict.fromkeys(names, 0)
+    failures: dict[str, list[str]] = {name: [] for name in names}
+
+    def pays(name: str, i: int, due, floor: Fraction) -> None:
+        """One instance of gate `name`: face i pays each vertex of `due`
+        at least `floor`."""
+        instances[name] += 1
+        for v in dict.fromkeys(due):
+            got = exact_sum(paid.get((i, v), ()))
+            if got < floor:
+                failures[name].append(f"f{i} paid v{v} {got}, needs {floor}")
+
+    face_flow: dict[int, FaceFlow] = {}
     for i, d in enumerate(emb.face_degrees):
-        if d != 3:
-            continue
+        got = exact_sum(received_heavy.get(i, ()))
+        out = exact_sum(sent_via.get(i, ()))
+        face_flow[i] = FaceFlow(got, out)
+        if d >= 4:
+            instances["face-balance"] += 1
+            if got < out:
+                failures["face-balance"].append(f"f{i}: received {got} < routed out {out}")
+        elif out > 0:
+            instances["face-balance"] += 1
+            if got < out + 1:
+                failures["face-balance"].append(
+                    f"f{i}: received {got}, needs routed out {out} plus 1"
+                )
+
         tails = emb.face_tails(i)
-        for j, v in enumerate(tails):
-            if v in false or deg[v] != degree:
-                continue
-            others = (tails[(j + 1) % 3], tails[(j + 2) % 3])
-            if all(deg[u] >= neighbor_bound for u in others):
-                instances += 1
-                got = _payment(payments, i, v)
-                if got < floor:
-                    failures.append(f"f{i} paid v{v} {got}, needs {floor}")
-    return CheckOutcome(f"triangle-pays-{degree}-vertex", instances, tuple(failures))
-
-
-def _check_quad_payments(
-    g: AssociatedPlaneGraph, payments: dict[tuple[int, int], Fraction]
-) -> CheckOutcome:
-    """Quadrilateral faces with at most one false vertex pay their small
-    true vertices, provided the anchor's face-neighbors are heavy.
-
-    With a 3-vertex anchor whose true face-neighbors all have degree at
-    least 24, every incident true vertex of degree at most 4 gets 5/12.
-    With no 3-vertex, a true 4-vertex anchor, and true face-neighbors of
-    degree at least 12, every incident true 4-vertex gets 1/3.
-    """
-    emb = g.embedding
-    deg = emb.degrees
-    false = g.false_vertices
-    failures = []
-    instances = 0
-    for i, d in enumerate(emb.face_degrees):
-        if d != 4:
-            continue
-        tails = emb.face_tails(i)
-        if sum(1 for t in tails if t in false) > 1:
-            continue
-        has_3 = any(deg[t] == 3 for t in tails)
-
-        def neighbors_heavy(j: int, bound: int) -> bool:
-            pair = (tails[(j - 1) % 4], tails[(j + 1) % 4])
-            return all(u in false or deg[u] >= bound for u in pair)
-
-        if has_3:
-            anchored = any(
-                deg[v] == 3 and neighbors_heavy(j, 24) for j, v in enumerate(tails)
-            )
-            if anchored:
-                instances += 1
-                for v in dict.fromkeys(tails):
-                    if v not in false and deg[v] <= 4:
-                        got = _payment(payments, i, v)
-                        if got < FIVE_TWELFTHS:
-                            failures.append(f"f{i} paid v{v} {got}, needs {FIVE_TWELFTHS}")
-        else:
-            anchored = any(
-                v not in false and deg[v] == 4 and neighbors_heavy(j, 12)
+        if d == 3:
+            for j, v in enumerate(tails):
+                if v in false:
+                    continue
+                others = min(deg[tails[j - 1]], deg[tails[(j + 1) % 3]])
+                for degree, bound, floor in _TRIANGLE_GATES:
+                    if deg[v] == degree and others >= bound:
+                        pays(f"triangle-pays-{degree}-vertex", i, (v,), floor)
+        elif d == 4 and sum(1 for t in tails if t in false) <= 1:
+            # a false vertex has degree 4, so a 3-vertex is always true
+            if any(deg[t] == 3 for t in tails):
+                anchor, bound, floor, due = 3, 24, FIVE_TWELFTHS, (1, 2, 3, 4)
+            else:
+                anchor, bound, floor, due = 4, 12, ONE_THIRD, (4,)
+            if any(
+                v not in false
+                and deg[v] == anchor
+                and all(u in false or deg[u] >= bound for u in (tails[j - 1], tails[(j + 1) % 4]))
                 for j, v in enumerate(tails)
-            )
-            if anchored:
-                instances += 1
-                for v in dict.fromkeys(tails):
-                    if v not in false and deg[v] == 4:
-                        got = _payment(payments, i, v)
-                        if got < ONE_THIRD:
-                            failures.append(f"f{i} paid v{v} {got}, needs {ONE_THIRD}")
-    return CheckOutcome("quad-face-payments", instances, tuple(failures))
+            ):
+                small = [v for v in tails if v not in false and deg[v] in due]
+                pays("quad-face-payments", i, small, floor)
+        elif d >= 5:
+            quads = [t for t in tails if t not in false and deg[t] == 4]
+            if quads and sum(1 for t in tails if deg[t] == 3) + len(quads) <= d // 2:
+                pays("big-face-payments", i, quads, ONE_THIRD)
 
-
-def _check_big_face_payments(
-    g: AssociatedPlaneGraph, payments: dict[tuple[int, int], Fraction]
-) -> CheckOutcome:
-    """5+-faces pay each incident true 4-vertex at least 1/3, provided
-    the small vertices on the walk are sparse enough (at most half the
-    boundary positions hold 3-vertices or true 4-vertices)."""
-    emb = g.embedding
-    deg = emb.degrees
-    false = g.false_vertices
-    failures = []
-    instances = 0
-    for i, d in enumerate(emb.face_degrees):
-        if d < 5:
-            continue
-        tails = emb.face_tails(i)
-        s = sum(1 for t in tails if deg[t] == 3)
-        quads = [t for t in tails if t not in false and deg[t] == 4]
-        if not quads or s + len(quads) > d // 2:
-            continue
-        instances += 1
-        for v in dict.fromkeys(quads):
-            got = _payment(payments, i, v)
-            if got < ONE_THIRD:
-                failures.append(f"f{i} paid v{v} {got}, needs {ONE_THIRD}")
-    return CheckOutcome("big-face-payments", instances, tuple(failures))
+    return face_flow, [CheckOutcome(n, instances[n], tuple(failures[n])) for n in names]

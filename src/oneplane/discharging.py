@@ -9,7 +9,11 @@ exact equality, never a tolerance.
 
 Rules R1-R6 depend only on degrees and adjacency, so they are evaluated
 simultaneously against the initial configuration (phase A). R7 and R8
-then redistribute each face's remaining balance (phases B and C):
+then redistribute each face's remaining balance. They share one pass
+over the faces: both move charge from a face to vertices, and a face's
+balance after phase A is changed only by its own R7 or R8 transfers,
+so no face reads what another face's split moved. The ledger still
+lists every R7 transfer before every R8 transfer:
 
   R1  true 4-vertex:  1/6 to each incident 4-special face pivoted at it.
   R2  5-vertex:       3/10 to incident 5-special faces pivoted at it,
@@ -334,35 +338,28 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     transfers = _phase_a(g, find_special_faces(g))
     _apply(charges, transfers)
 
-    phase_b: list[Transfer] = []
+    # R7 and R8 in one pass over the faces; see the module docstring
+    r7: list[Transfer] = []
+    r8: list[Transfer] = []
     for i, d in enumerate(fdeg):
-        if d > 4:
-            continue
-        takers = [t for t in emb.face_tails(i) if t not in false and deg[t] <= 4]
-        src = face(i)
-        balance = charges[src]
-        if not takers or balance == 0:
-            continue
-        share = balance / len(takers)
-        phase_b.extend(Transfer("R7", src, vertex(t), share) for t in takers)
-    _apply(charges, phase_b)
-    transfers.extend(phase_b)
-
-    phase_c: list[Transfer] = []
-    for i, d in enumerate(fdeg):
-        if d < 5:
-            continue
         tails = emb.face_tails(i)
         src = face(i)
-        prepaid = [Transfer("R8", src, vertex(t), R8_PREPAY) for t in tails if deg[t] == 3]
-        takers = [t for t in tails if t not in false and deg[t] == 4]
-        phase_c.extend(prepaid)
-        balance = charges[src] - R8_PREPAY * len(prepaid)
+        balance = charges[src]
+        if d <= 4:
+            rule, out = "R7", r7
+            takers = [t for t in tails if t not in false and deg[t] <= 4]
+        else:
+            rule, out = "R8", r8
+            prepaid = [t for t in tails if deg[t] == 3]
+            r8.extend(Transfer("R8", src, vertex(t), R8_PREPAY) for t in prepaid)
+            balance -= R8_PREPAY * len(prepaid)
+            takers = [t for t in tails if t not in false and deg[t] == 4]
         if takers and balance != 0:
             share = balance / len(takers)
-            phase_c.extend(Transfer("R8", src, vertex(t), share) for t in takers)
-    _apply(charges, phase_c)
-    transfers.extend(phase_c)
+            out.extend(Transfer(rule, src, vertex(t), share) for t in takers)
+    late = r7 + r8
+    _apply(charges, late)
+    transfers.extend(late)
 
     return ChargeState(charges), transfers
 

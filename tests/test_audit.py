@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from gadgets import (
     big_face_gadget,
     crossing_gadget,
@@ -14,6 +16,7 @@ from gadgets import (
 from naive_oracle import naive_audit
 from oneplane.audit import audit
 from oneplane.discharging import (
+    ChargeState,
     apply_discharging,
     initial_charges,
     initial_total,
@@ -221,6 +224,24 @@ def _gadget_drawings():
     return out
 
 
+def _assert_matches_oracle(name, g, final, transfers):
+    """The audit of (final, transfers) equals `naive_audit`'s, field by
+    field, failure messages and their order included."""
+    report = audit(g, final, transfers)
+    ref = naive_audit(g.embedding.rotation.rotation, g.false_vertices, final.charges, transfers)
+    assert report.initial_total == ref["initial_total"], name
+    assert report.final_total == ref["final_total"], name
+    assert {
+        i: (f.received_heavy, f.sent_via_false) for i, f in report.face_flow.items()
+    } == ref["face_flow"], name
+    assert [(c.face, c.via, c.inflow, c.outflow) for c in report.crossing_flow] == ref[
+        "crossing_flow"
+    ], name
+    assert [(c.name, c.instances, c.failures) for c in report.checks] == ref["checks"], name
+    assert list(report.negative_elements) == ref["negative_elements"], name
+    return report
+
+
 def test_grouped_sums_equal_the_per_transfer_reference(corpus_runs):
     """The audit's grouped exact sums equal the running per-transfer sums
     on the corpus (catalog included), on the R6 samples and on the
@@ -230,19 +251,8 @@ def test_grouped_sums_equal_the_per_transfer_reference(corpus_runs):
         runs.append((f"gadget:{i}", g, *apply_discharging(g)))
     fired = set()
     for name, g, final, transfers in runs:
-        report = audit(g, final, transfers)
         assert initial_total(g) == initial_charges(g).total() == -8, name
-        ref = naive_audit(g.embedding.rotation.rotation, g.false_vertices, final.charges, transfers)
-        assert report.initial_total == ref["initial_total"], name
-        assert report.final_total == ref["final_total"], name
-        assert {
-            i: (f.received_heavy, f.sent_via_false) for i, f in report.face_flow.items()
-        } == ref["face_flow"], name
-        assert [(c.face, c.via, c.inflow, c.outflow) for c in report.crossing_flow] == ref[
-            "crossing_flow"
-        ], name
-        assert [(c.name, c.instances, c.failures) for c in report.checks] == ref["checks"], name
-        assert list(report.negative_elements) == ref["negative_elements"], name
+        report = _assert_matches_oracle(name, g, final, transfers)
         fired |= {t.rule for t in transfers}
         fired |= {c.name for c in report.checks if c.instances}
     assert {"R1", "R2", "R3", "R4", "R5", "R6.1", "R6.2", "R6.3", "R6.4", "R7", "R8"} <= fired
@@ -253,3 +263,46 @@ def test_grouped_sums_equal_the_per_transfer_reference(corpus_runs):
         "quad-face-payments",
         "big-face-payments",
     } <= fired
+
+
+def tampered_run(g):
+    """A ledger the engine never writes, and final charges recomputed
+    from it: every R7/R8 transfer is dropped and every R6 amount is
+    multiplied by ten; then one vertex gets 1 more charge, so the total
+    drifts too."""
+    _, transfers = apply_discharging(g)
+    ledger = [
+        t._replace(amount=10 * t.amount) if t.rule.startswith("R6") else t
+        for t in transfers
+        if t.rule not in ("R7", "R8")
+    ]
+    charges = initial_charges(g).charges
+    for t in ledger:
+        charges[t.source] -= t.amount
+        charges[t.target] += t.amount
+    charges[vertex(g.embedding.vertices[0])] += 1
+    return ChargeState(charges), ledger
+
+
+def test_tampered_ledgers_fail_every_gate_as_the_oracle_does():
+    failing = set()
+    for i, g in enumerate(R6_SAMPLES + _gadget_drawings()):
+        report = _assert_matches_oracle(f"gadget:{i}", g, *tampered_run(g))
+        assert not report.passed, i
+        failing |= {c.name for c in report.checks if not c.passed}
+    assert failing == {
+        "conservation",
+        "face-balance",
+        "crossing-margin",
+        "triangle-pays-3-vertex",
+        "triangle-pays-4-vertex",
+        "quad-face-payments",
+        "big-face-payments",
+    }
+
+
+def test_unknown_gate_name_is_a_key_error():
+    report, _ = run(build_drawing(K4))
+    assert report.check("conservation").instances == 1
+    with pytest.raises(KeyError, match="no audit gate named 'nope'"):
+        report.check("nope")

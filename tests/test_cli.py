@@ -12,12 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gadgets import squeezed_gadget
+from gadgets import crossing_gadget, squeezed_gadget
 import oneplane
 from oneplane import cli, graphio
+from oneplane.audit import audit
 from oneplane.cli import main
 from oneplane.generators import catalog, catalog_names
 from oneplane.oneplanar import build_drawing
+from test_audit import tampered_run
 
 
 @pytest.fixture()
@@ -117,6 +119,23 @@ def test_audit_command_passes_on_valid_input(k5_file, capsys):
     out = capsys.readouterr().out
     assert "passed: True" in out
     assert "conserved: True" in out
+
+
+def test_audit_of_a_tampered_ledger_exits_three_and_lists_its_failures(
+    tmp_path, capsys, monkeypatch
+):
+    g = crossing_gadget(24, 24, 3, 3, "triangle")
+    path = tmp_path / "gadget.json"
+    graphio.save(g, path)
+    monkeypatch.setattr(cli, "apply_discharging", tampered_run)
+    assert main(["audit", str(path), "--format", "json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    report = audit(g, *tampered_run(g))
+    assert doc["passed"] is False
+    assert [(c["name"], c["instances"], tuple(c["failures"])) for c in doc["checks"]] == [
+        (c.name, c.instances, c.failures) for c in report.checks
+    ]
+    assert {c["name"] for c in doc["checks"] if not c["passed"]} > {"conservation"}
 
 
 def test_recover_reports_degrees(k5_file, capsys):

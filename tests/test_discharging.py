@@ -362,3 +362,65 @@ def test_rotation_start_does_not_matter(seed, size, density, rng):
         k = rng.randrange(len(r))
         turned[v] = r[k:] + r[:k]
     assert _observed(build_drawing(turned, g.false_vertices)) == _observed(g)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(4, 40),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_relabelling_commutes_with_every_output(seed, size, density, rng):
+    # Relabel the vertices by a random permutation, keeping the false
+    # marks. The ledger, the final charges, the light-edge verdict and
+    # the audit of the relabelled drawing are those of the drawing, read
+    # through the vertex map and the face map its darts induce.
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    labels = list(g.embedding.vertices)
+    rng.shuffle(labels)
+    vmap = dict(zip(g.embedding.vertices, labels))
+    h = build_drawing(
+        {vmap[v]: [vmap[u] for u in r] for v, r in g.embedding.rotation.rotation.items()},
+        {vmap[v] for v in g.false_vertices},
+    )
+    fmap = [h.embedding.face_of[vmap[u], vmap[v]] for (u, v), *_ in g.embedding.faces]
+
+    def mapped(el):
+        kind, x = el
+        return (kind, vmap[x] if kind == "v" else fmap[x])
+
+    final, transfers = apply_discharging(g)
+    final_h, transfers_h = apply_discharging(h)
+    assert Counter(
+        t._replace(
+            source=mapped(t.source),
+            target=mapped(t.target),
+            via=None if t.via is None else vmap[t.via],
+        )
+        for t in transfers
+    ) == Counter(transfers_h)
+    assert {mapped(el): q for el, q in final.charges.items()} == final_h.charges
+
+    # the witness is the first light edge by (type, smaller degree, ids),
+    # so only its type and smaller degree are free of the labelling
+    verdict, verdict_h = check_light_edge_guarantee(g), check_light_edge_guarantee(h)
+    assert (verdict.status, verdict.min_degree) == (verdict_h.status, verdict_h.min_degree)
+    assert Counter(
+        (w.light_type, frozenset(zip(map(vmap.get, w.edge), w.degrees)))
+        for w in verdict.light_edges
+    ) == Counter((w.light_type, frozenset(zip(w.edge, w.degrees))) for w in verdict_h.light_edges)
+    if verdict.witness is not None:
+        assert (verdict.witness.light_type, min(verdict.witness.degrees)) == (
+            verdict_h.witness.light_type,
+            min(verdict_h.witness.degrees),
+        )
+
+    report, report_h = audit(g, final, transfers), audit(h, final_h, transfers_h)
+    assert report.checks == report_h.checks
+    assert sorted((mapped(el), q) for el, q in report.negative_elements) == list(
+        report_h.negative_elements
+    )
