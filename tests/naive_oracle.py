@@ -34,6 +34,15 @@ def naive_faces(rotation: dict[int, tuple[int, ...]]) -> list[list[tuple[int, in
 
 def naive_ledger(rotation: dict[int, tuple[int, ...]], false_vertices: set[int]) -> list[str]:
     """Every transfer of a full discharging run, as unsorted ledger lines."""
+    return naive_run(rotation, false_vertices)[0]
+
+
+def naive_run(
+    rotation: dict[int, tuple[int, ...]], false_vertices: set[int]
+) -> tuple[list[str], dict[str, Fraction]]:
+    """The unsorted ledger lines of a full discharging run and the final
+    balance of every element, keyed by its label ("v3", "f0"), each
+    balance a running `Fraction` moved one transfer at a time."""
     deg = {v: len(r) for v, r in rotation.items()}
     faces = naive_faces(rotation)
     face_of = {}
@@ -193,7 +202,7 @@ def naive_ledger(rotation: dict[int, tuple[int, ...]], false_vertices: set[int])
             emit_and_move("R8", f"f{idx}", f"v{t}", share)
 
     assert sum(balance.values(), Fraction(0)) == -8
-    return lines
+    return lines, balance
 
 
 def naive_audit(rotation, false_vertices, final_charges, transfers) -> dict:

@@ -11,10 +11,11 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from gadgets import crossing_gadget
-from naive_oracle import naive_ledger
+from naive_oracle import naive_ledger, naive_run
 from oneplane.audit import audit
 from oneplane.discharging import (
     apply_discharging,
+    element_label,
     exact_sum,
     face,
     find_special_faces,
@@ -253,12 +254,16 @@ def test_r6_routes_only_through_transitive_vertices():
                 assert (t.source[1], t.via) in trans
 
 
-def test_engine_matches_naive_oracle_spot_checks():
-    for g in (
+def spot_check_drawings():
+    return [
         catalog("k5-one-crossing"),
         crossing_gadget(9, 9, 1, 1),
         random_oneplane(GeneratorParams(23, 11, 0.5)),
-    ):
+    ]
+
+
+def test_engine_matches_naive_oracle_spot_checks():
+    for g in spot_check_drawings():
         _, transfers = apply_discharging(g)
         engine = sorted(ledger_lines(transfers))
         oracle = sorted(naive_ledger(g.embedding.rotation.rotation, set(g.false_vertices)))
@@ -333,6 +338,52 @@ def test_r6_band_boundaries(m):
         "one-sided": [(rule, a) for a in one_sided],
         "quad": [(rule, a) for a in quad],
     }
+
+
+def _assert_final_charges_match_oracle(g, final, name):
+    # one exact Fraction per element, keyed in initial-charge order, each
+    # equal to the oracle's balance moved one transfer at a time
+    _, balance = naive_run(g.embedding.rotation.rotation, set(g.false_vertices))
+    assert list(final.charges) == list(initial_charges(g).charges), name
+    assert all(type(q) is Fraction for q in final.charges.values()), name
+    assert {element_label(el): q for el, q in final.charges.items()} == balance, name
+
+
+def test_final_charges_match_the_naive_oracle(corpus_runs):
+    drawings = [(name, build_drawing(rot, false)) for name, (rot, false) in DEGENERATE.items()]
+    drawings += [(f"spot:{i}", g) for i, g in enumerate(spot_check_drawings())]
+    drawings += [
+        (f"band:{m},{far},{shape}", crossing_gadget(m, m, 3, far, shape))
+        for m in R6_BAND_EXPECTED
+        for far, shape in ((3, "triangle"), (7, "triangle"), (3, "quad"))
+    ]
+    for name, g in drawings:
+        _assert_final_charges_match_oracle(g, apply_discharging(g)[0], name)
+    small = [run for run in corpus_runs if run[1].embedding.vertex_count() <= 12]
+    assert len(small) >= 10
+    for name, g, final, _ in small:
+        _assert_final_charges_match_oracle(g, final, name)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(4, 150),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+)
+@example(1, 150, 0.75)
+@settings(max_examples=25, deadline=None)
+def test_final_charges_match_the_naive_oracle_on_random_drawings(seed, size, density):
+    # sizes past ~60 give elements several distinct amount denominators
+    # and R7/R8 shares of either sign (the example: up to 5 per element
+    # and 36 negative shares)
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    final, transfers = apply_discharging(g)
+    _assert_final_charges_match_oracle(g, final, (seed, size, density))
+    engine = sorted(ledger_lines(transfers))
+    assert engine == sorted(naive_run(g.embedding.rotation.rotation, set(g.false_vertices))[0])
 
 
 def _observed(g):
