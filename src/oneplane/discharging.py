@@ -4,8 +4,9 @@ Every vertex and face of the planarized drawing starts with charge
 (degree - 4); on a sphere embedding these sum to exactly -8. The engine
 then applies a fixed table of local rules and records every movement as
 a tagged transfer, so the whole run can be audited after the fact. All
-arithmetic uses `fractions.Fraction`; conservation of the total is an
-exact equality, never a tolerance.
+arithmetic is exact, and every amount and charge it reports is a
+`fractions.Fraction`; conservation of the total is an exact equality,
+never a tolerance.
 
 Rules R1-R6 depend only on degrees and adjacency, so they are evaluated
 simultaneously against the initial configuration (phase A). R7 and R8
@@ -63,11 +64,16 @@ Residual splits in R7/R8 may move a negative balance; those transfers
 keep the face as their source and carry the signed per-recipient share.
 Zero-amount transfers are never recorded.
 
-The rule amounts are module constants, built once. Each transfer moves
-its amount with one exact subtraction and one exact addition. Totals
-are taken with `exact_sum`, which adds integer numerators per
-denominator and builds one `Fraction` per distinct denominator; the
-audit sums its grouped amounts the same way.
+The rule amounts are module constants, built once. While the rules run,
+each element's charge is an integer [numerator, denominator] pair,
+starting at [degree - 4, 1]. A transfer adds its amount's numerator to
+the target's pair and subtracts it from the source's. Where the
+denominators differ, both numerators are scaled to their lcm first, so a
+pair's denominator stays the lcm of the amounts that reached it. Each
+pair becomes one `Fraction` when the run returns. Totals are taken with
+`exact_sum`, which adds integer numerators per denominator and builds
+one `Fraction` per distinct denominator; the audit sums its grouped
+amounts the same way.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .oneplanar import (
@@ -169,16 +176,20 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
     return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
 
 
-def initial_charges(g: AssociatedPlaneGraph) -> ChargeState:
-    """Charge degree - 4 on every vertex and face; the total is -8."""
+def _initial_excess(g: AssociatedPlaneGraph) -> dict[Element, int]:
+    """degree - 4 for every vertex, then for every face, in ledger key order."""
     emb = g.embedding
     deg = emb.degrees
-    charges: dict[Element, Fraction] = {}
-    for v in emb.vertices:
-        charges[vertex(v)] = Fraction(deg[v] - 4)
-    for i, d in enumerate(emb.face_degrees):
-        charges[face(i)] = Fraction(d - 4)
-    return ChargeState(charges)
+    excess = {vertex(v): deg[v] - 4 for v in emb.vertices}
+    excess.update((face(i), d - 4) for i, d in enumerate(emb.face_degrees))
+    return excess
+
+
+def initial_charges(g: AssociatedPlaneGraph) -> ChargeState:
+    """Charge degree - 4 on every vertex and face; the total is -8."""
+    excess = _initial_excess(g)
+    exact = {k: Fraction(k) for k in set(excess.values())}
+    return ChargeState({el: exact[k] for el, k in excess.items()})
 
 
 def initial_total(g: AssociatedPlaneGraph) -> Fraction:
@@ -321,10 +332,26 @@ def _route_through_crossing(g: AssociatedPlaneGraph, hood: CrossingNeighborhood)
     return transfers
 
 
-def _apply(charges: dict[Element, Fraction], transfers: list[Transfer]) -> None:
+def _apply(charges: dict[Element, list[int]], transfers: list[Transfer]) -> None:
+    """Move every transfer's amount between the [numerator, denominator]
+    pairs of `charges`, scaling to the lcm of unequal denominators."""
     for t in transfers:
-        charges[t.source] -= t.amount
-        charges[t.target] += t.amount
+        amount = t.amount
+        n, d = amount.numerator, amount.denominator
+        pair = charges[t.source]
+        if pair[1] == d:
+            pair[0] -= n
+        else:
+            k = gcd(pair[1], d)
+            pair[0] = pair[0] * (d // k) - n * (pair[1] // k)
+            pair[1] = pair[1] // k * d
+        pair = charges[t.target]
+        if pair[1] == d:
+            pair[0] += n
+        else:
+            k = gcd(pair[1], d)
+            pair[0] = pair[0] * (d // k) + n * (pair[1] // k)
+            pair[1] = pair[1] // k * d
 
 
 def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transfer]]:
@@ -333,7 +360,7 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     deg = emb.degrees
     fdeg = emb.face_degrees
     false = g.false_vertices
-    charges = initial_charges(g).charges
+    charges = {el: [k, 1] for el, k in _initial_excess(g).items()}
 
     transfers = _phase_a(g, find_special_faces(g))
     _apply(charges, transfers)
@@ -344,7 +371,7 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     for i, d in enumerate(fdeg):
         tails = emb.face_tails(i)
         src = face(i)
-        balance = charges[src]
+        n, den = charges[src]
         if d <= 4:
             rule, out = "R7", r7
             takers = [t for t in tails if t not in false and deg[t] <= 4]
@@ -352,16 +379,17 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
             rule, out = "R8", r8
             prepaid = [t for t in tails if deg[t] == 3]
             r8.extend(Transfer("R8", src, vertex(t), R8_PREPAY) for t in prepaid)
-            balance -= R8_PREPAY * len(prepaid)
+            pay = R8_PREPAY.numerator * len(prepaid)
+            n, den = n * R8_PREPAY.denominator - pay * den, den * R8_PREPAY.denominator
             takers = [t for t in tails if t not in false and deg[t] == 4]
-        if takers and balance != 0:
-            share = balance / len(takers)
+        if takers and n != 0:
+            share = Fraction(n, den * len(takers))
             out.extend(Transfer(rule, src, vertex(t), share) for t in takers)
     late = r7 + r8
     _apply(charges, late)
     transfers.extend(late)
 
-    return ChargeState(charges), transfers
+    return ChargeState({el: Fraction(n, d) for el, (n, d) in charges.items()}), transfers
 
 
 def _ledger_sort_key(t: Transfer):

@@ -118,6 +118,18 @@ def big_face_gadget(ring_degree: int = 9) -> AssociatedPlaneGraph:
     return _built(rot, set())
 
 
+def prepaid_big_face_gadget() -> AssociatedPlaneGraph:
+    """Pentagon with a true 4-vertex 0, a 3-vertex 1 and three 9-vertices.
+    After phase A it holds 1 + 3 * 5/9 = 8/3, so R8 prepays 2/3 out of a
+    fractional balance and passes the remaining 2 to vertex 0."""
+    rot: dict[int, list[int]] = {i: [(i - 1) % 5, (i + 1) % 5] for i in range(5)}
+    _attach_leaves(rot, 0, 2)
+    _attach_leaves(rot, 1, 1)
+    for v in range(2, 5):
+        _attach_leaves(rot, v, 7)
+    return _built(rot, set())
+
+
 def squeezed_gadget() -> AssociatedPlaneGraph:
     """A 3-vertex 0 between two crossings 1 and 2, on two triangles, with
     its third face a quadrilateral. Valid 1-plane drawings of simple

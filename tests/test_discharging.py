@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from gadgets import crossing_gadget
+from gadgets import crossing_gadget, prepaid_big_face_gadget
 from naive_oracle import naive_ledger, naive_run
 from oneplane.audit import audit
 from oneplane.discharging import (
@@ -357,6 +357,7 @@ def test_final_charges_match_the_naive_oracle(corpus_runs):
         for m in R6_BAND_EXPECTED
         for far, shape in ((3, "triangle"), (7, "triangle"), (3, "quad"))
     ]
+    drawings.append(("prepaid-big-face", prepaid_big_face_gadget()))
     for name, g in drawings:
         _assert_final_charges_match_oracle(g, apply_discharging(g)[0], name)
     small = [run for run in corpus_runs if run[1].embedding.vertex_count() <= 12]
