@@ -38,18 +38,24 @@ charges are possible on ordinary inputs and are merely reported.
 
 The audit collects the amounts of each group (a face's heavy income and
 routed outflow, a (face, routing vertex) pair's outflow, a transitive
-corner's income and a (face, vertex) payment) and sums each group once
-with `discharging.exact_sum`, so every reported value is exact. The face
-flows and every face-indexed gate come from one pass over the faces.
+corner's income and a (face, vertex) payment) and sums each group once,
+so every reported value is exact. Most groups are empty or hold one
+amount, which is read directly; longer groups are summed with
+`discharging.exact_sum`. Values are the engine's `Fraction`s, one per
+distinct value within a run, and signs are read from their integer
+numerators. The face flows and every face-indexed gate come from one
+pass over the faces.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .discharging import (
+    ZERO,
     ChargeState,
     Element,
     Transfer,
@@ -117,6 +123,15 @@ FIVE_TWELFTHS = Fraction(5, 12)
 _TRIANGLE_GATES = ((3, 24, TWO_THIRDS), (4, 12, ONE_THIRD))
 
 
+def _group_sum(values: Sequence[Fraction]) -> Fraction:
+    """The exact sum of one group's amounts, equal to
+    `sum(values, Fraction(0))`. Most groups are empty or hold one
+    amount; those are read directly, the rest go to `exact_sum`."""
+    if len(values) > 1:
+        return exact_sum(values)
+    return values[0] if values else ZERO
+
+
 def audit(
     g: AssociatedPlaneGraph, final: ChargeState, transfers: list[Transfer]
 ) -> AuditReport:
@@ -150,13 +165,13 @@ def audit(
     for i, prev, v, nxt in transitive_corners(g):
         income[i, v] += (r5[deg[prev]], r5[deg[nxt]])
     crossing_flow = tuple(
-        CrossingFlow(f, v, exact_sum(income.get((f, v), ())), exact_sum(routed.get((f, v), ())))
+        CrossingFlow(f, v, _group_sum(income.get((f, v), ())), _group_sum(routed.get((f, v), ())))
         for f, v in sorted(income.keys() | routed.keys())
     )
     margin_failures = tuple(
         f"f{c.face} via v{c.via}: inflow {c.inflow} < 2 * outflow {c.outflow}"
         for c in crossing_flow
-        if c.outflow > 0 and c.inflow < 2 * c.outflow
+        if c.outflow.numerator > 0 and c.inflow < 2 * c.outflow
     )
 
     drift = () if final_total == initial else (f"total drifted from {initial} to {final_total}",)
@@ -166,7 +181,11 @@ def audit(
         CheckOutcome("crossing-margin", len(crossing_flow), margin_failures),
         *face_checks[1:],
     )
-    negative = tuple(sorted((el, charge) for el, charge in final.charges.items() if charge < 0))
+    # the sign through the integer numerator: `charge < 0` would run an
+    # ABC isinstance check per element
+    negative = tuple(
+        sorted((el, charge) for el, charge in final.charges.items() if charge.numerator < 0)
+    )
 
     return AuditReport(
         conserved=final_total == initial,
@@ -205,20 +224,20 @@ def _face_pass(
         at least `floor`."""
         instances[name] += 1
         for v in dict.fromkeys(due):
-            got = exact_sum(paid.get((i, v), ()))
+            got = _group_sum(paid.get((i, v), ()))
             if got < floor:
                 failures[name].append(f"f{i} paid v{v} {got}, needs {floor}")
 
     face_flow: dict[int, FaceFlow] = {}
     for i, d in enumerate(emb.face_degrees):
-        got = exact_sum(received_heavy.get(i, ()))
-        out = exact_sum(sent_via.get(i, ()))
+        got = _group_sum(received_heavy.get(i, ()))
+        out = _group_sum(sent_via.get(i, ()))
         face_flow[i] = FaceFlow(got, out)
         if d >= 4:
             instances["face-balance"] += 1
             if got < out:
                 failures["face-balance"].append(f"f{i}: received {got} < routed out {out}")
-        elif out > 0:
+        elif out.numerator > 0:
             instances["face-balance"] += 1
             if got < out + 1:
                 failures["face-balance"].append(

@@ -69,11 +69,13 @@ each element's charge is an integer [numerator, denominator] pair,
 starting at [degree - 4, 1]. A transfer adds its amount's numerator to
 the target's pair and subtracts it from the source's. Where the
 denominators differ, both numerators are scaled to their lcm first, so a
-pair's denominator stays the lcm of the amounts that reached it. Each
-pair becomes one `Fraction` when the run returns. Totals are taken with
-`exact_sum`, which adds integer numerators per denominator and builds
-one `Fraction` per distinct denominator; the audit sums its grouped
-amounts the same way.
+pair's denominator stays the lcm of the amounts that reached it. The
+R7/R8 shares and the final charges come from a dict local to the run,
+so there is one `Fraction` per distinct value within a run: the values
+repeat heavily (a 6000-spoke wheel's 12002 final charges hold 4). Totals
+are taken with `exact_sum`, which adds integer numerators per
+denominator and builds one `Fraction` per distinct denominator.
+`ledger_lines` renders each distinct amount object's text once.
 """
 
 from __future__ import annotations
@@ -143,11 +145,18 @@ class Transfer(NamedTuple):
     via: int | None = None
 
     def ledger_line(self) -> str:
-        via = element_label(vertex(self.via)) if self.via is not None else ""
-        return (
-            f"{self.rule};{element_label(self.source)};{element_label(self.target)};"
-            f"{via};{self.amount.numerator}/{self.amount.denominator}"
-        )
+        return _ledger_line(self, {})
+
+
+def _ledger_line(t: Transfer, texts: dict[int, str]) -> str:
+    """The ledger line of `t`. `texts` maps id(amount) to the amount's
+    rendering; an amount not in it is rendered and added."""
+    amount = t.amount
+    text = texts.get(id(amount))
+    if text is None:
+        text = texts[id(amount)] = f"{amount.numerator}/{amount.denominator}"
+    via = element_label(vertex(t.via)) if t.via is not None else ""
+    return f"{t.rule};{element_label(t.source)};{element_label(t.target)};{via};{text}"
 
 
 @dataclass(frozen=True)
@@ -332,6 +341,17 @@ def _route_through_crossing(g: AssociatedPlaneGraph, hood: CrossingNeighborhood)
     return transfers
 
 
+def _exact(memo: dict[tuple[int, int], Fraction], n: int, d: int) -> Fraction:
+    """`Fraction(n, d)`, one object per value among those built through
+    `memo`: each is stored under the pair as given and under its lowest
+    terms, so unequal pairs of one value share an object."""
+    q = memo.get((n, d))
+    if q is None:
+        q = Fraction(n, d)
+        q = memo[n, d] = memo.setdefault((q.numerator, q.denominator), q)
+    return q
+
+
 def _apply(charges: dict[Element, list[int]], transfers: list[Transfer]) -> None:
     """Move every transfer's amount between the [numerator, denominator]
     pairs of `charges`, scaling to the lcm of unequal denominators."""
@@ -361,6 +381,7 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     fdeg = emb.face_degrees
     false = g.false_vertices
     charges = {el: [k, 1] for el, k in _initial_excess(g).items()}
+    memo: dict[tuple[int, int], Fraction] = {}
 
     transfers = _phase_a(g, find_special_faces(g))
     _apply(charges, transfers)
@@ -383,13 +404,14 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
             n, den = n * R8_PREPAY.denominator - pay * den, den * R8_PREPAY.denominator
             takers = [t for t in tails if t not in false and deg[t] == 4]
         if takers and n != 0:
-            share = Fraction(n, den * len(takers))
+            share = _exact(memo, n, den * len(takers))
             out.extend(Transfer(rule, src, vertex(t), share) for t in takers)
     late = r7 + r8
     _apply(charges, late)
     transfers.extend(late)
 
-    return ChargeState({el: Fraction(n, d) for el, (n, d) in charges.items()}), transfers
+    final = {el: _exact(memo, n, d) for el, (n, d) in charges.items()}
+    return ChargeState(final), transfers
 
 
 def _ledger_sort_key(t: Transfer):
@@ -397,5 +419,10 @@ def _ledger_sort_key(t: Transfer):
 
 
 def ledger_lines(transfers: list[Transfer]) -> list[str]:
-    """Render a ledger in its deterministic export order."""
-    return [t.ledger_line() for t in sorted(transfers, key=_ledger_sort_key)]
+    """Render a ledger in its deterministic export order, each line as
+    `Transfer.ledger_line` renders it."""
+    # each distinct amount object is rendered once; keyed by id, since
+    # `Fraction.__hash__` is slow, and every amount stays alive in
+    # `transfers` while the cache lives
+    texts: dict[int, str] = {}
+    return [_ledger_line(t, texts) for t in sorted(transfers, key=_ledger_sort_key)]

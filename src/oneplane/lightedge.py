@@ -57,10 +57,16 @@ def find_light_edges(
     view: OriginalGraphView, profile: str = DEFAULT_PROFILE
 ) -> list[LightEdgeWitness]:
     """All light edges of the recovered graph, sorted by (type, degree, ids)."""
+    deg = view.degrees
     found = []
+    # light type per distinct (degree, degree) pair, classified once
+    types: dict[tuple[int, int], str | None] = {}
     for a, b in view.edges:
-        degrees = (view.degrees[a], view.degrees[b])
-        tag = classify_edge(*degrees, profile)
+        degrees = (deg[a], deg[b])
+        try:
+            tag = types[degrees]
+        except KeyError:
+            tag = types[degrees] = classify_edge(*degrees, profile)
         if tag is not None:
             found.append(LightEdgeWitness((a, b), degrees, tag))
     found.sort(key=lambda w: (w.light_type, min(w.degrees), w.edge))

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from gadgets import crossing_gadget, prepaid_big_face_gadget
 from naive_oracle import naive_ledger, naive_run
-from oneplane.audit import audit
+from oneplane.audit import _group_sum, audit
 from oneplane.discharging import (
+    R8_PREPAY,
+    _ledger_sort_key,
     apply_discharging,
     element_label,
     exact_sum,
@@ -27,6 +29,8 @@ from oneplane.discharging import (
 from oneplane.generators import GenerationFailed, GeneratorParams, catalog, random_oneplane
 from oneplane.lightedge import check_light_edge_guarantee
 from oneplane.oneplanar import build_drawing
+from test_acceptance import R6_SAMPLES
+from test_audit import _gadget_drawings
 
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
 
@@ -63,6 +67,19 @@ def test_exact_sum_equals_fraction_sum(values):
     assert type(total) is Fraction
     assert total == sum(values, Fraction(0))
     assert exact_sum(iter(values)) == total
+
+
+@given(st.lists(fractions, max_size=40))
+@example([])
+@example([Fraction(-5, 7)])
+@example([Fraction(1, 3), Fraction(-1, 3)])
+def test_audit_group_sum_equals_fraction_sum(values):
+    # empty and one-element groups are read directly, longer ones summed
+    total = _group_sum(values)
+    assert type(total) is Fraction
+    assert total == sum(values, Fraction(0))
+    if len(values) == 1:
+        assert total is values[0]
 
 
 def test_initial_charges_on_plane_k4():
@@ -239,6 +256,44 @@ def test_ledger_line_format_and_order():
         assert (via != "") == rule.startswith("R6")
     r7_sources = {line.split(";")[1][0] for line in lines if line.startswith("R7")}
     assert r7_sources <= {"f"}
+
+
+def test_ledger_lines_equal_the_per_transfer_rendering(corpus_runs):
+    # ledger_lines renders each distinct amount once; every line must read
+    # as Transfer.ledger_line renders it alone, in the ledger's sort order
+    ledgers = [transfers for _, _, _, transfers in corpus_runs]
+    ledgers += [apply_discharging(g)[1] for g in R6_SAMPLES + _gadget_drawings()]
+    rules = set()
+    for transfers in ledgers:
+        ordered = sorted(transfers, key=_ledger_sort_key)
+        assert ledger_lines(transfers) == [t.ledger_line() for t in ordered]
+        rules |= {t.rule for t in transfers}
+    assert {"R1", "R2", "R3", "R4", "R5", "R6.1", "R6.2", "R6.3", "R6.4", "R7", "R8"} <= rules
+
+
+def _built_values(g):
+    """The final charges and the R7/R8 residual shares of one run; the R8
+    prepayment is a module constant, not built by the run."""
+    final, transfers = apply_discharging(g)
+    shares = [
+        t.amount for t in transfers if t.rule in ("R7", "R8") and t.amount is not R8_PREPAY
+    ]
+    return list(final.charges.values()) + shares
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_drawing(wheel(300)), random_oneplane(GeneratorParams(1, 150, 0.75))],
+    ids=["wheel-300", "random-1-150"],
+)
+def test_one_fraction_per_distinct_value_within_a_run(g):
+    first, second = _built_values(g), _built_values(g)
+    assert first == second
+    assert all(type(q) is Fraction for q in first)
+    # within a run, equal values are one object
+    assert len({id(q) for q in first}) == len(set(first)) < len(first)
+    # no object outlives its run: there is no cache across calls
+    assert not {id(q) for q in first} & {id(q) for q in second}
 
 
 def test_r6_routes_only_through_transitive_vertices():

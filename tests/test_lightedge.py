@@ -10,12 +10,14 @@ from oneplane.generators import catalog
 from oneplane.lightedge import (
     COUNTEREXAMPLE_CANDIDATE,
     HYPOTHESIS_UNMET,
+    PROFILES,
     WITNESS_FOUND,
+    LightEdgeWitness,
     check_light_edge_guarantee,
     classify_edge,
     find_light_edges,
 )
-from oneplane.oneplanar import build_drawing, recover_original
+from oneplane.oneplanar import OriginalGraphView, build_drawing, recover_original
 
 
 def test_threshold_examples():
@@ -114,3 +116,22 @@ def test_verdict_never_candidate_on_catalog():
 def test_degree_below_one_rejected():
     with pytest.raises(ValueError):
         classify_edge(0, 5)
+    view = OriginalGraphView(vertices=(0, 1, 2), edges=((0, 1),), degrees={0: 1, 1: 0, 2: 1})
+    with pytest.raises(ValueError, match="degrees must be positive"):
+        find_light_edges(view)
+
+
+def test_witnesses_equal_the_per_edge_classification(corpus):
+    # find_light_edges classifies each distinct degree pair once; the
+    # witnesses and their order must be those of classifying every edge
+    for name, g in corpus:
+        view = recover_original(g)
+        for profile in PROFILES:
+            reference = []
+            for a, b in view.edges:
+                degrees = (view.degrees[a], view.degrees[b])
+                tag = classify_edge(*degrees, profile)
+                if tag is not None:
+                    reference.append(LightEdgeWitness((a, b), degrees, tag))
+            reference.sort(key=lambda w: (w.light_type, min(w.degrees), w.edge))
+            assert find_light_edges(view, profile) == reference, (name, profile)
