@@ -75,7 +75,8 @@ so there is one `Fraction` per distinct value within a run: the values
 repeat heavily (a 6000-spoke wheel's 12002 final charges hold 4). Totals
 are taken with `exact_sum`, which adds integer numerators per
 denominator and builds one `Fraction` per distinct denominator.
-`ledger_lines` renders each distinct amount object's text once.
+`ledger_lines` renders each distinct amount object's text once and sorts
+with a C-level key.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .oneplanar import (
@@ -145,18 +147,7 @@ class Transfer(NamedTuple):
     via: int | None = None
 
     def ledger_line(self) -> str:
-        return _ledger_line(self, {})
-
-
-def _ledger_line(t: Transfer, texts: dict[int, str]) -> str:
-    """The ledger line of `t`. `texts` maps id(amount) to the amount's
-    rendering; an amount not in it is rendered and added."""
-    amount = t.amount
-    text = texts.get(id(amount))
-    if text is None:
-        text = texts[id(amount)] = f"{amount.numerator}/{amount.denominator}"
-    via = element_label(vertex(t.via)) if t.via is not None else ""
-    return f"{t.rule};{element_label(t.source)};{element_label(t.target)};{via};{text}"
+        return ledger_lines([self])[0]
 
 
 @dataclass(frozen=True)
@@ -414,15 +405,27 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     return ChargeState(final), transfers
 
 
-def _ledger_sort_key(t: Transfer):
-    return (t.rule, t.source, t.target, -1 if t.via is None else t.via, t.amount)
+# Export order: rule, source, target, via, amount. In the engine's ledgers
+# a rule's transfers all carry a `via` (R6.*) or all leave it None, so
+# None is never compared with an int.
+_LEDGER_ORDER = itemgetter(0, 1, 2, 4, 3)
 
 
 def ledger_lines(transfers: list[Transfer]) -> list[str]:
-    """Render a ledger in its deterministic export order, each line as
-    `Transfer.ledger_line` renders it."""
+    """Render a ledger in its deterministic export order, one line per
+    transfer: `rule;source;target;via;numerator/denominator`, with `via`
+    empty outside R6."""
     # each distinct amount object is rendered once; keyed by id, since
     # `Fraction.__hash__` is slow, and every amount stays alive in
-    # `transfers` while the cache lives
+    # `transfers` while the cache lives. Labels are formatted in place as
+    # `element_label` formats them: looking them up in a cache keyed by
+    # the element tuple was slower.
     texts: dict[int, str] = {}
-    return [_ledger_line(t, texts) for t in sorted(transfers, key=_ledger_sort_key)]
+    lines = []
+    for rule, source, target, amount, via in sorted(transfers, key=_LEDGER_ORDER):
+        text = texts.get(id(amount))
+        if text is None:
+            text = texts[id(amount)] = f"{amount.numerator}/{amount.denominator}"
+        via_label = "" if via is None else f"v{via}"
+        lines.append(f"{rule};{source[0]}{source[1]};{target[0]}{target[1]};{via_label};{text}")
+    return lines

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from oneplane import cli, graphio
 from oneplane.audit import audit
 from oneplane.cli import main
 from oneplane.generators import catalog, catalog_names
-from oneplane.oneplanar import build_drawing
+from oneplane.oneplanar import build_drawing, validate
 from test_audit import tampered_run
 
 
@@ -348,3 +349,71 @@ def test_not_plane_input_is_invalid(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", str(path)]) == 1
     assert "NotPlane" in capsys.readouterr().err
+
+
+def _boom(g):
+    raise RuntimeError("unexpected")
+
+
+# name: (argv, exit code, replacement for cli.apply_discharging or None)
+EXIT_PATHS = {
+    "ok": (["audit", "{k5}"], 0, None),
+    "invalid": (["validate", "{broken}"], 1, None),
+    "hypothesis-unmet": (["light-edges", "{path}"], 2, None),
+    "candidate": (["audit", "{gadget}"], 3, tampered_run),
+    "usage": (["catalog", "nosuch"], 64, None),
+    "data": (["validate", "{missing}"], 65, None),
+    "cantcreat": (["discharge", "{k5}", "--ledger", "{unwritable}"], 73, None),
+    "help": (["--help"], 0, None),
+    "exception": (["discharge", "{k5}"], RuntimeError, _boom),
+}
+
+
+@pytest.fixture()
+def gc_setting():
+    """Restores the collector's setting after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, code, discharge", EXIT_PATHS.values(), ids=EXIT_PATHS.keys())
+def test_collector_setting_is_restored_on_every_exit_path(
+    argv, code, discharge, enabled, k5_file, broken_file, tmp_path, capsys, monkeypatch, gc_setting
+):
+    files = {
+        "k5": k5_file,
+        "broken": broken_file,
+        "path": str(tmp_path / "path.json"),
+        "gadget": str(tmp_path / "gadget.json"),
+        "missing": str(tmp_path / "missing.json"),
+        "unwritable": str(tmp_path / "missing-dir" / "x.ledger"),
+    }
+    graphio.save(build_drawing({0: [1], 1: [0, 2], 2: [1]}), files["path"])
+    graphio.save(crossing_gadget(24, 24, 3, 3, "triangle"), files["gadget"])
+    if discharge is not None:
+        monkeypatch.setattr(cli, "apply_discharging", discharge)
+    (gc.enable if enabled else gc.disable)()
+    argv = [a.format(**files) for a in argv]
+    if isinstance(code, int):
+        assert main(argv) == code
+    else:
+        with pytest.raises(code):
+            main(argv)
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+def test_collector_is_paused_while_a_command_runs(k5_file, capsys, monkeypatch, gc_setting):
+    seen = []
+
+    def spy(g):
+        seen.append(gc.isenabled())
+        return validate(g)
+
+    monkeypatch.setattr(cli, "validate", spy)
+    gc.enable()
+    assert main(["validate", k5_file]) == 0
+    assert seen == [False] and gc.isenabled()
+    capsys.readouterr()

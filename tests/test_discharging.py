@@ -15,7 +15,6 @@ from naive_oracle import naive_ledger, naive_run
 from oneplane.audit import _group_sum, audit
 from oneplane.discharging import (
     R8_PREPAY,
-    _ledger_sort_key,
     apply_discharging,
     element_label,
     exact_sum,
@@ -258,15 +257,28 @@ def test_ledger_line_format_and_order():
     assert r7_sources <= {"f"}
 
 
+def _export_order(t):
+    # rule, source, target, via (none first), amount
+    return (t.rule, t.source, t.target, -1 if t.via is None else t.via, t.amount)
+
+
+def _line(t):
+    via = "" if t.via is None else element_label(vertex(t.via))
+    amount = f"{t.amount.numerator}/{t.amount.denominator}"
+    return f"{t.rule};{element_label(t.source)};{element_label(t.target)};{via};{amount}"
+
+
 def test_ledger_lines_equal_the_per_transfer_rendering(corpus_runs):
-    # ledger_lines renders each distinct amount once; every line must read
-    # as Transfer.ledger_line renders it alone, in the ledger's sort order
+    # ledger_lines renders each distinct amount once and formats labels in
+    # place; every line must read as the transfer rendered alone, with
+    # element_label's labels, in the ledger's sort order
     ledgers = [transfers for _, _, _, transfers in corpus_runs]
     ledgers += [apply_discharging(g)[1] for g in R6_SAMPLES + _gadget_drawings()]
     rules = set()
     for transfers in ledgers:
-        ordered = sorted(transfers, key=_ledger_sort_key)
-        assert ledger_lines(transfers) == [t.ledger_line() for t in ordered]
+        ordered = sorted(transfers, key=_export_order)
+        lines = ledger_lines(transfers)
+        assert lines == [t.ledger_line() for t in ordered] == [_line(t) for t in ordered]
         rules |= {t.rule for t in transfers}
     assert {"R1", "R2", "R3", "R4", "R5", "R6.1", "R6.2", "R6.3", "R6.4", "R7", "R8"} <= rules
 
