@@ -216,9 +216,12 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     deg = g.embedding.degrees
     fdeg = g.embedding.face_degrees
     false = g.false_vertices
+    hoods = crossing_neighborhoods(g)
+    if not hoods:
+        return []
     view = recover_original(g)
     records = []
-    for hood in crossing_neighborhoods(g):
+    for hood in hoods:
         for near_a, near_b, far_a, far_b, f in hood.corners():
             if fdeg[f] != 3:
                 continue

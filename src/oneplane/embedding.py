@@ -8,6 +8,13 @@ of directed edges, and the system describes a sphere embedding exactly
 when V - E + F = 2. Anything else is rejected. A build derives a table
 of these successors once, so it runs in time linear in V + E.
 
+A build tests each rotation as a whole (its length, loop and unknown
+neighbors against its successor table) and finds an asymmetric edge as
+a successor the face walk cannot read. Only when such a test fails does
+the per-dart scan run, to name the first fault in table order, as it
+would have alone. Rotation faults come before disconnection, and
+disconnection before a failed Euler test.
+
 Face indexing is deterministic: walks are discovered and anchored at
 their lexicographically smallest directed edge, so rebuilding from equal
 rotations always yields identical face lists.
@@ -137,19 +144,9 @@ def _check_connected(rot: RotationSystem) -> None:
         raise Disconnected(f"{len(table) - len(seen)} vertices unreachable from {start}")
 
 
-def build_embedding(rot: RotationSystem) -> PlaneEmbedding:
-    """Trace the faces of a rotation system and verify it is a sphere embedding.
-
-    Raises MalformedRotation for asymmetric, looped, or duplicated
-    adjacencies, Disconnected for multi-component input, and NotPlane
-    when the traced faces violate Euler's identity V - E + F = 2.
-    """
-    table = rot.rotation
-    # succ[v][u]: the neighbor that follows u in the cyclic order at v
-    succ = {v: dict(zip(r, r[1:] + r[:1])) for v, r in table.items()}
-    _check_rotation(table, succ)
-    _check_connected(rot)
-
+def _trace_faces(
+    table: dict[int, tuple[int, ...]], succ: dict[int, dict[int, int]]
+) -> tuple[list[tuple[HalfEdge, ...]], dict[HalfEdge, int]]:
     face_of: dict[HalfEdge, int] = {}
     faces: list[tuple[HalfEdge, ...]] = []
     for u in sorted(table):
@@ -166,6 +163,35 @@ def build_embedding(rot: RotationSystem) -> PlaneEmbedding:
                 if cur == start:
                     break
             faces.append(tuple(walk))
+    return faces, face_of
+
+
+def build_embedding(rot: RotationSystem) -> PlaneEmbedding:
+    """Trace the faces of a rotation system and verify it is a sphere embedding.
+
+    Raises MalformedRotation for asymmetric, looped, or duplicated
+    adjacencies, Disconnected for multi-component input, and NotPlane
+    when the traced faces violate Euler's identity V - E + F = 2.
+    """
+    table = rot.rotation
+    # succ[v][u]: the neighbor that follows u in the cyclic order at v
+    succ = {v: dict(zip(r, r[1:] + r[:1])) for v, r in table.items()}
+    keys = table.keys()
+    if not table or any(
+        len(s) != len(r) or v in s or not s.keys() <= keys
+        for (v, r), s in zip(table.items(), succ.values())
+    ):
+        _check_rotation(table, succ)
+    # Now no rotation repeats a neighbor, so each face walk returns to
+    # its start unless it reads succ[head][tail] for a dart whose
+    # reverse is missing; every dart's successor is read.
+    try:
+        faces, face_of = _trace_faces(table, succ)
+    except KeyError:
+        faces, face_of = [], {}
+    if not faces:  # an asymmetric edge, or no edge at all
+        _check_rotation(table, succ)
+    _check_connected(rot)
 
     emb = PlaneEmbedding(rotation=rot, faces=tuple(faces), face_of=face_of)
     if euler_characteristic(emb) != 2:

@@ -13,14 +13,22 @@ the id written in its canonical decimal form ("1", not " 1", "01" or
 "+1"), and no object may repeat a key. Rotation lists keep
 their stored starting neighbor, so parse -> serialize -> parse is the
 identity and serialization of a given drawing is byte-stable.
+
+The vertex list and the rotation object are each tested as a whole (the
+set of their value types, the id range, the key set). Only when such a
+test fails does the entry-by-entry scan run, to name the first bad
+entry with the message and offset it would have given alone.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
 
+from .embedding import RotationSystem
 from .oneplanar import AssociatedPlaneGraph, build_drawing
 
 
@@ -65,6 +73,39 @@ def loads(text: str) -> AssociatedPlaneGraph:
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise GraphFormatError("'vertices' must be a non-empty list")
+    false_vertices = _false_vertices(vertices)
+
+    rotation_doc = doc["rotation"]
+    if not isinstance(rotation_doc, dict):
+        raise GraphFormatError("'rotation' must be an object keyed by vertex id")
+    rotation = _rotation(rotation_doc, len(vertices))
+
+    return build_drawing(RotationSystem(rotation), false_vertices)
+
+
+def _false_vertices(vertices: list) -> frozenset[int]:
+    """The ids marked false. Every entry must hold an integer id and a
+    boolean mark, and the ids must be dense from 0."""
+    if set(map(type, vertices)) == {dict}:
+        try:
+            ids = list(map(itemgetter("id"), vertices))
+            marks = list(map(itemgetter("false"), vertices))
+        except KeyError:
+            pass
+        else:
+            if (
+                set(map(type, ids)) == {int}
+                and set(map(type, marks)) == {bool}
+                and min(ids) >= 0
+                and max(ids) == len(ids) - 1
+                and len(set(ids)) == len(ids)
+            ):
+                return frozenset(compress(ids, marks))
+    return _scan_vertices(vertices)
+
+
+def _scan_vertices(vertices: list) -> frozenset[int]:
+    """`_false_vertices` entry by entry, raising at the first bad entry."""
     false_vertices: set[int] = set()
     ids: set[int] = set()
     for entry in vertices:
@@ -79,12 +120,27 @@ def loads(text: str) -> AssociatedPlaneGraph:
             false_vertices.add(entry["id"])
     if ids != set(range(len(ids))):
         raise GraphFormatError("vertex ids must be dense from 0")
+    return frozenset(false_vertices)
 
-    rotation_doc = doc["rotation"]
-    if not isinstance(rotation_doc, dict):
-        raise GraphFormatError("'rotation' must be an object keyed by vertex id")
+
+def _rotation(rotation_doc: dict, n: int) -> dict[int, tuple[int, ...]]:
+    """The rotation table of vertices 0..n-1, in document order."""
+    nbrs = rotation_doc.values()
+    # the value types first: `chain` raises on an integer value
+    if (
+        len(rotation_doc) == n
+        and rotation_doc.keys() <= set(map(str, range(n)))
+        and set(map(type, nbrs)) <= {list}
+        and set(map(type, chain.from_iterable(nbrs))) <= {int}
+    ):
+        return dict(zip(map(int, rotation_doc), map(tuple, nbrs)))
+    return _scan_rotation(rotation_doc, n)
+
+
+def _scan_rotation(rotation_doc: dict, n: int) -> dict[int, tuple[int, ...]]:
+    """`_rotation` entry by entry, raising at the first bad entry."""
     rotation: dict[int, tuple[int, ...]] = {}
-    id_of_key = {str(v): v for v in ids}
+    id_of_key = {str(v): v for v in range(n)}
     for key, nbrs in rotation_doc.items():
         if key not in id_of_key:
             raise GraphFormatError(f"rotation key {key!r} is not a declared vertex id")
@@ -92,11 +148,10 @@ def loads(text: str) -> AssociatedPlaneGraph:
         if not isinstance(nbrs, list) or not all(type(u) is int for u in nbrs):
             raise GraphFormatError(f"rotation of vertex {v} must be a list of integers")
         rotation[v] = tuple(nbrs)
-    missing = ids - set(rotation)
+    missing = set(range(n)) - set(rotation)
     if missing:
         raise GraphFormatError(f"vertices without a rotation entry: {sorted(missing)}")
-
-    return build_drawing(rotation, false_vertices)
+    return rotation
 
 
 def dumps(g: AssociatedPlaneGraph) -> str:

@@ -18,8 +18,10 @@ validation violation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .embedding import PlaneEmbedding, RotationSystem, build_embedding
 
@@ -76,10 +78,8 @@ class AssociatedPlaneGraph:
         if problems:
             raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
         vertices = tuple(v for v in self.embedding.vertices if v not in self.false_vertices)
-        degrees = {v: 0 for v in vertices}
-        for a, b in edges:
-            degrees[a] += 1
-            degrees[b] += 1
+        degrees = dict.fromkeys(vertices, 0)
+        degrees.update(Counter(chain.from_iterable(edges)))
         return OriginalGraphView(vertices=vertices, edges=tuple(sorted(edges)), degrees=degrees)
 
 
@@ -91,9 +91,9 @@ def build_drawing(
     rot = rotation if isinstance(rotation, RotationSystem) else RotationSystem.from_mapping(rotation)
     emb = build_embedding(rot)
     marks = frozenset(false_vertices)
-    unknown = marks - set(rot.rotation)
-    if unknown:
-        raise ValueError(f"false-vertex marks name unknown vertices: {sorted(unknown)}")
+    if not marks <= rot.rotation.keys():
+        unknown = sorted(marks - rot.rotation.keys())
+        raise ValueError(f"false-vertex marks name unknown vertices: {unknown}")
     return AssociatedPlaneGraph(embedding=emb, false_vertices=marks)
 
 
@@ -163,8 +163,10 @@ def _straighten(
     """The recovered edges, as ordered pairs, and the violations
     straightening finds.
 
-    Each direct edge or crossing segment is one original-edge instance;
-    equal endpoints make a loop and a repeated pair a multi-edge. Segment
+    Each direct edge or crossing segment is one original-edge instance,
+    an ordered pair; equal endpoints make a loop and a repeated pair a
+    multi-edge. The instances are tested as one set; only a loop or a
+    repeat runs the per-instance scan that names each violation. Segment
     walks that cycle through false vertices are violations and produce no
     instance; so do, unreported, walks that meet a false vertex of degree
     other than 4, which validate() flags on its own.
@@ -181,6 +183,7 @@ def _straighten(
         if u < v and v not in false
     ]
 
+    segments: list[tuple[int, int]] = []
     seen_paths: set[tuple[int, ...]] = set()
     for f in g.sorted_false_vertices:
         if len(rot[f]) != 4:
@@ -200,17 +203,22 @@ def _straighten(
             if key in seen_paths:
                 continue  # same segment discovered from another false vertex on it
             seen_paths.add(key)
-            instances.append((path[0], path[-1]))
+            a, b = path[0], path[-1]
+            segments.append((a, b) if a < b else (b, a))
+    instances += segments
 
+    recovered = frozenset(instances)
+    if len(recovered) == len(instances) and all(a != b for a, b in segments):
+        return recovered, tuple(problems)
+    # name each loop and repeated instance, in instance order
     edges: set[tuple[int, int]] = set()
     for a, b in instances:
         if a == b:
             problems.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
             continue
-        key = (min(a, b), max(a, b))
-        if key in edges:
-            problems.append(Violation(RECOVERED_MULTI_EDGE, key, "recovered edge appears twice"))
-        edges.add(key)
+        if (a, b) in edges:
+            problems.append(Violation(RECOVERED_MULTI_EDGE, (a, b), "recovered edge appears twice"))
+        edges.add((a, b))
     return frozenset(edges), tuple(problems)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gadgets import crossing_gadget, prepaid_big_face_gadget
 from naive_oracle import naive_ledger, naive_run
+from oneplane import discharging
 from oneplane.audit import _group_sum, audit
 from oneplane.discharging import (
     R8_PREPAY,
@@ -120,6 +121,17 @@ def test_special_face_partner_threshold_boundary():
 
     past = crossing_gadget(4, 5, 2, 12, link_partner_far=True)
     assert find_special_faces(past) == []
+
+
+def test_plane_drawing_needs_no_recovered_graph(monkeypatch):
+    # without a crossing there is no special face, and the recovered
+    # graph, a sorted copy of every edge, is never read
+    def unread(g):
+        raise AssertionError("recover_original called")
+
+    monkeypatch.setattr(discharging, "recover_original", unread)
+    assert find_special_faces(catalog("k4")) == []
+    assert apply_discharging(catalog("icosahedron"))[1]
 
 
 def test_unlinked_partner_is_not_special():

@@ -147,6 +147,15 @@ def test_corpus_degree_tables_match_rotation_and_walks(corpus):
         ({0: [1, 1, 0], 1: [0]}, "vertex 0 lists neighbor 1 twice"),
         ({0: [1, 2, 2], 1: [], 2: [0]}, "vertex 0 lists neighbor 2 twice"),
         ({0: [1], 1: [0, 2], 2: []}, "edge 1-2 is not symmetric"),
+        # an earlier asymmetric edge outranks a later loop, repeat or
+        # unknown neighbor, and every rotation fault outranks
+        # disconnection and a failed Euler test
+        ({0: [1], 1: [], 2: [1, 1]}, "edge 0-1 is not symmetric"),
+        ({0: [1], 1: [], 2: [7]}, "edge 0-1 is not symmetric"),
+        ({0: [1], 1: [], 2: [3], 3: [2]}, "edge 0-1 is not symmetric"),
+        ({0: [], 1: []}, "rotation system has no edges"),
+        ({0: [2, 3, 4], 1: [0, 2, 3, 4], 2: [0, 1, 3, 4], 3: [0, 1, 2, 4], 4: [0, 1, 2, 3]},
+         "edge 1-0 is not symmetric"),
     ],
 )
 def test_malformed_rotation_messages_and_first_error(rotation, message):
@@ -180,6 +189,12 @@ def test_empty_and_edgeless_rejected():
 def test_disconnected_rejected():
     with pytest.raises(Disconnected):
         build({0: [1], 1: [0], 2: [3], 3: [2]})
+
+
+def test_disconnection_outranks_euler():
+    k5 = {v: [u for u in range(5) if u != v] for v in range(5)}
+    with pytest.raises(Disconnected, match="2 vertices unreachable from 0"):
+        build({**k5, 5: [6], 6: [5]})
 
 
 def test_k5_rotation_is_not_plane():

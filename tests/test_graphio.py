@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+import json
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from naive_oracle import naive_faces
 from oneplane import graphio
-from oneplane.generators import GenerationFailed, GeneratorParams, catalog, random_oneplane
+from oneplane.embedding import Disconnected, MalformedRotation, NotPlane
+from oneplane.generators import (
+    GenerationFailed,
+    GeneratorParams,
+    catalog,
+    catalog_names,
+    random_oneplane,
+)
 
 
 def test_round_trip_is_identity_on_catalog():
@@ -132,3 +143,337 @@ def test_duplicate_key_in_vertex_entry_rejected():
     text = _cycle_doc(CANONICAL_KEYS).replace('"id": 0,', '"id": 0, "id": 1,', 1)
     with pytest.raises(graphio.GraphFormatError, match="duplicate key 'id'"):
         graphio.loads(text)
+
+
+def _doc(vertices: str, rotation: str) -> str:
+    return f'{{"vertices": {vertices}, "rotation": {rotation}}}'
+
+
+PAIR = '[{"id": 0, "false": false}, {"id": 1, "false": false}]'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # vertex entries in list order, each tested whole before the next
+        (
+            _doc('[{"id": 0, "false": false}, {"id": 0, "false": false}, "x"]', '{"0": []}'),
+            "duplicate vertex id 0",
+        ),
+        (
+            _doc('[{"id": 0, "false": 1}, {"id": -1, "false": false}]', '{"0": []}'),
+            "vertex 0 needs a boolean 'false' mark",
+        ),
+        (_doc('[{"id": 0, "false": false}, {"id": 2, "false": false}]', "5"),
+         "vertex ids must be dense from 0"),
+        # distinct ids whose largest is one less than their count
+        (_doc('[{"id": -1, "false": false}, {"id": 1, "false": false}]', '{"0": [1], "1": [0]}'),
+         "vertex entry {'id': -1, 'false': False} needs a non-negative integer 'id'"),
+        # rotation entries in document order, the missing ones last
+        (_doc('[{"id": 0, "false": false}]', '{"0": 5, "x": []}'),
+         "rotation of vertex 0 must be a list of integers"),
+        (_doc('[{"id": 0, "false": false}]', '{"0": 5}'),
+         "rotation of vertex 0 must be a list of integers"),
+        (_doc('[{"id": 0, "false": false}]', '{"x": 5, "0": []}'),
+         "rotation key 'x' is not a declared vertex id"),
+        (_doc(PAIR, '{"1": [0, true]}'), "rotation of vertex 1 must be a list of integers"),
+        # the whole document is read before the rotation is tested
+        (_doc(PAIR, '{"0": [1]}'), "vertices without a rotation entry: [1]"),
+    ],
+)
+def test_first_schema_violation_wins(text, message):
+    with pytest.raises(graphio.GraphFormatError) as err:
+        graphio.loads(text)
+    assert str(err.value) == message
+    assert err.value.byte_offset == 0
+
+
+def scan_load(text: str) -> tuple[list[tuple[int, tuple[int, ...]]], frozenset[int]]:
+    """The document read entry by entry and the rotation dart by dart,
+    raising graphio's exception and message for the first fault in
+    document and table order: the reference for `graphio.loads`.
+    Returns the rotation items, in document order, and the false ids."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        offset = len(text[: err.pos].encode("utf-8"))
+        raise graphio.GraphFormatError(f"invalid JSON at byte {offset}: {err.msg}", offset) from None
+    if not isinstance(doc, dict):
+        raise graphio.GraphFormatError("top-level value must be an object")
+    for key in ("vertices", "rotation"):
+        if key not in doc:
+            raise graphio.GraphFormatError(f"missing required field {key!r}")
+    vertices = doc["vertices"]
+    if not isinstance(vertices, list) or not vertices:
+        raise graphio.GraphFormatError("'vertices' must be a non-empty list")
+    ids, false = [], set()
+    for entry in vertices:
+        if not isinstance(entry, dict) or type(entry.get("id")) is not int or entry["id"] < 0:
+            raise graphio.GraphFormatError(f"vertex entry {entry!r} needs a non-negative integer 'id'")
+        if type(entry.get("false")) is not bool:
+            raise graphio.GraphFormatError(f"vertex {entry['id']} needs a boolean 'false' mark")
+        if entry["id"] in ids:
+            raise graphio.GraphFormatError(f"duplicate vertex id {entry['id']}")
+        ids.append(entry["id"])
+        if entry["false"]:
+            false.add(entry["id"])
+    if sorted(ids) != list(range(len(ids))):
+        raise graphio.GraphFormatError("vertex ids must be dense from 0")
+    if not isinstance(doc["rotation"], dict):
+        raise graphio.GraphFormatError("'rotation' must be an object keyed by vertex id")
+    table = {}
+    for key, nbrs in doc["rotation"].items():
+        if key not in [str(v) for v in ids]:
+            raise graphio.GraphFormatError(f"rotation key {key!r} is not a declared vertex id")
+        if type(nbrs) is not list or any(type(u) is not int for u in nbrs):
+            raise graphio.GraphFormatError(f"rotation of vertex {key} must be a list of integers")
+        table[int(key)] = tuple(nbrs)
+    missing = sorted(set(ids) - set(table))
+    if missing:
+        raise graphio.GraphFormatError(f"vertices without a rotation entry: {missing}")
+
+    for v, nbrs in table.items():
+        for i, u in enumerate(nbrs):
+            if u == v:
+                raise MalformedRotation(f"loop at vertex {v}")
+            if u not in table:
+                raise MalformedRotation(f"vertex {v} lists unknown neighbor {u}")
+            if u in nbrs[:i]:
+                raise MalformedRotation(f"vertex {v} lists neighbor {u} twice")
+        for u in nbrs:
+            if v not in table[u]:
+                raise MalformedRotation(f"edge {v}-{u} is not symmetric")
+    if not any(table.values()):
+        raise MalformedRotation("rotation system has no edges")
+    start = next(iter(table))
+    reached, stack = {start}, [start]
+    while stack:
+        new = set(table[stack.pop()]) - reached
+        reached |= new
+        stack.extend(new)
+    if len(reached) != len(table):
+        raise Disconnected(f"{len(table) - len(reached)} vertices unreachable from {start}")
+    V, E, F = len(table), sum(map(len, table.values())) // 2, len(naive_faces(table))
+    if V - E + F != 2:
+        raise NotPlane(f"V - E + F = {V - E + F}, expected 2 (V={V}, E={E}, F={F})")
+    return list(table.items()), frozenset(false)
+
+
+def outcome(load, text):
+    """What a loader makes of `text`: its result, or the exception's
+    type, message and byte offset."""
+    try:
+        return load(text)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "byte_offset", None)
+
+
+def _loaded(text):
+    g = graphio.loads(text)
+    return list(g.embedding.rotation.rotation.items()), g.false_vertices
+
+
+@functools.cache
+def _sample_doc(i: int) -> str:
+    names = catalog_names()
+    if i < len(names):
+        return graphio.dumps(catalog(names[i]))
+    size, density = [(6, 0.25), (8, 0.5), (11, 0.75), (14, 1.0)][i % 4]
+    return graphio.dumps(random_oneplane(GeneratorParams(i, size, density)))
+
+
+def _pick(data, seq):
+    return data.draw(st.integers(0, len(seq) - 1)) if seq else None
+
+
+def _entry(doc, data):
+    vertices = doc.get("vertices")
+    if not isinstance(vertices, list):
+        return None
+    entries = [e for e in vertices if isinstance(e, dict)]
+    i = _pick(data, entries)
+    return None if i is None else entries[i]
+
+
+def _rotation_list(doc, data):
+    rot = doc.get("rotation")
+    if not isinstance(rot, dict):
+        return None, None
+    keys = [k for k, r in rot.items() if isinstance(r, list)]
+    i = _pick(data, keys)
+    return (None, None) if i is None else (keys[i], rot[keys[i]])
+
+
+def fault_entry_type(doc, data):
+    vertices = doc.get("vertices")
+    if isinstance(vertices, list) and vertices:
+        vertices[_pick(data, vertices)] = data.draw(st.sampled_from([None, 0, "0", [], 1.5]))
+
+
+def fault_id(doc, data):
+    entry = _entry(doc, data)
+    if entry is not None:
+        others = [e.get("id") for e in doc["vertices"] if isinstance(e, dict)]
+        kind = data.draw(st.sampled_from(["type", "negative", "repeated", "too large"]))
+        entry["id"] = data.draw(
+            st.sampled_from(
+                {
+                    "type": ["0", 1.0, True, False, None],
+                    "negative": [-1, -7],
+                    "repeated": others,
+                    "too large": [len(doc["vertices"]), 99],
+                }[kind]
+            )
+        )
+
+
+def fault_mark(doc, data):
+    entry = _entry(doc, data)
+    if entry is not None:
+        entry["false"] = data.draw(st.sampled_from([0, 1, None, "false", [], not entry.get("false")]))
+
+
+def fault_drop_field(doc, data):
+    entry = _entry(doc, data)
+    if entry is not None:
+        entry.pop(data.draw(st.sampled_from(["id", "false"])), None)
+
+
+def fault_drop_entry(doc, data):
+    vertices = doc.get("vertices")
+    if isinstance(vertices, list) and vertices:
+        del vertices[_pick(data, vertices)]
+
+
+def fault_reverse_entries(doc, data):
+    if isinstance(doc.get("vertices"), list):
+        doc["vertices"].reverse()
+
+
+def fault_rename_key(doc, data):
+    rot = doc.get("rotation")
+    if isinstance(rot, dict) and rot:
+        keys = list(rot)
+        old = keys[_pick(data, keys)]
+        new = data.draw(st.sampled_from([f" {old}", f"0{old}", f"+{old}", f"{old} ", "x", "-1", "99"]))
+        if new not in rot:
+            doc["rotation"] = {new if k == old else k: r for k, r in rot.items()}
+
+
+def fault_drop_key(doc, data):
+    rot = doc.get("rotation")
+    if isinstance(rot, dict) and rot:
+        del rot[list(rot)[_pick(data, list(rot))]]
+
+
+def fault_reverse_keys(doc, data):
+    rot = doc.get("rotation")
+    if isinstance(rot, dict):
+        doc["rotation"] = dict(reversed(rot.items()))
+
+
+def fault_value_type(doc, data):
+    key, _ = _rotation_list(doc, data)
+    if key is not None:
+        doc["rotation"][key] = data.draw(st.sampled_from([5, None, "1", {}, True, 1.5]))
+
+
+def fault_neighbor_type(doc, data):
+    _, nbrs = _rotation_list(doc, data)
+    if nbrs:
+        nbrs[_pick(data, nbrs)] = data.draw(st.sampled_from([True, False, 1.0, "1", None, [1]]))
+
+
+def fault_loop(doc, data):
+    key, nbrs = _rotation_list(doc, data)
+    if key is not None and key.isdigit():
+        nbrs.insert(data.draw(st.integers(0, len(nbrs))), int(key))
+
+
+def fault_repeat_neighbor(doc, data):
+    _, nbrs = _rotation_list(doc, data)
+    if nbrs:
+        nbrs.insert(data.draw(st.integers(0, len(nbrs))), nbrs[_pick(data, nbrs)])
+
+
+def fault_unknown_neighbor(doc, data):
+    _, nbrs = _rotation_list(doc, data)
+    if nbrs is not None:
+        nbrs.insert(data.draw(st.integers(0, len(nbrs))), data.draw(st.sampled_from([-1, 99])))
+
+
+def fault_drop_dart(doc, data):
+    _, nbrs = _rotation_list(doc, data)
+    if nbrs:
+        del nbrs[_pick(data, nbrs)]
+
+
+def _drop_edge(doc, key, nbrs, i):
+    back = doc["rotation"].get(str(nbrs.pop(i)))
+    if isinstance(back, list) and key.isdigit() and int(key) in back:
+        back.remove(int(key))
+
+
+def fault_drop_edge(doc, data):
+    key, nbrs = _rotation_list(doc, data)
+    if nbrs:
+        _drop_edge(doc, key, nbrs, _pick(data, nbrs))
+
+
+def fault_isolate_vertex(doc, data):
+    key, nbrs = _rotation_list(doc, data)
+    while nbrs:
+        _drop_edge(doc, key, nbrs, 0)
+
+
+def fault_swap_neighbors(doc, data):
+    _, nbrs = _rotation_list(doc, data)
+    if nbrs and len(nbrs) > 2:
+        i, j = _pick(data, nbrs), _pick(data, nbrs)
+        nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
+
+
+def fault_top_level(doc, data):
+    key = data.draw(st.sampled_from(["vertices", "rotation"]))
+    value = data.draw(st.sampled_from([None, [], {}, 3]))
+    if data.draw(st.booleans()):
+        doc.pop(key, None)
+    else:
+        doc[key] = value
+
+
+FAULTS = [
+    fault_entry_type,
+    fault_id,
+    fault_mark,
+    fault_drop_field,
+    fault_drop_entry,
+    fault_reverse_entries,
+    fault_rename_key,
+    fault_drop_key,
+    fault_reverse_keys,
+    fault_value_type,
+    fault_neighbor_type,
+    fault_loop,
+    fault_repeat_neighbor,
+    fault_unknown_neighbor,
+    fault_drop_dart,
+    fault_drop_edge,
+    fault_isolate_vertex,
+    fault_swap_neighbors,
+    fault_top_level,
+]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_loads_agrees_with_per_item_scans(data):
+    """One or two faults in a drawing's document: `loads` accepts exactly
+    when the per-item scans do, and otherwise raises the same error."""
+    doc = json.loads(_sample_doc(data.draw(st.integers(0, len(catalog_names()) + 7))))
+    for fault in data.draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2)):
+        fault(doc, data)
+    text = json.dumps(doc)
+    if data.draw(st.integers(0, 9)) == 0:
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    assert outcome(_loaded, text) == outcome(scan_load, text)

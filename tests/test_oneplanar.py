@@ -128,6 +128,24 @@ def test_false_chain_straightening_to_a_loop():
         recover_original(g)
 
 
+def test_straightening_loop_and_multi_edge_reported_in_instance_order():
+    # crossing 2 of 0-1 and 3-4 beside the direct edge 0-1 (its segment
+    # runs 1-2-0), joined by the edge 3-10 to crossings 8 and 9, whose
+    # segment 5-8-9-5 is a loop
+    rot = {
+        0: [1, 2], 1: [2, 0], 2: [1, 3, 0, 4], 3: [2, 10], 4: [2],
+        5: [8, 9], 6: [8], 7: [8], 8: [5, 6, 9, 7], 9: [8, 10, 5, 11], 10: [9, 3], 11: [9],
+    }
+    g = build_drawing(rot, {2, 8, 9})
+    assert [str(v) for v in validate(g).violations] == [
+        "adjacent-false-vertices [8, 9]: false vertices are adjacent",
+        "recovered-multi-edge [0, 1]: recovered edge appears twice",
+        "recovered-loop [5]: crossing straightens to a loop",
+    ]
+    with pytest.raises(RecoveredMultiEdge, match=r"recovered-multi-edge \[0, 1\]"):
+        recover_original(g)
+
+
 def test_false_vertex_cycle_is_a_plain_value_error():
     # the crossing segments of 0, 1 and 2 run into each other in a cycle
     g = build_drawing(
