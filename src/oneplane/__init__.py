@@ -16,7 +16,6 @@ from .embedding import (
     MalformedRotation,
     NotPlane,
     PlaneEmbedding,
-    RotationSystem,
     build_embedding,
     euler_characteristic,
 )

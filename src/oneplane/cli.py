@@ -289,11 +289,10 @@ def _cmd_catalog(args) -> int:
 
 
 def _write_drawing(g, out: str | None) -> int:
-    text = graphio.dumps(g)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        graphio.save(g, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(graphio.dumps(g))
     return EX_OK
 
 

@@ -8,6 +8,11 @@ of directed edges, and the system describes a sphere embedding exactly
 when V - E + F = 2. Anything else is rejected. A build derives a table
 of these successors once, so it runs in time linear in V + E.
 
+A rotation is a plain dict from each vertex to a sequence of its
+neighbors. `build_embedding` copies it once, into a dict of tuples,
+and `PlaneEmbedding.rotation` is that copy: the embedding's own table,
+which callers must not modify.
+
 A build tests each rotation as a whole (its length, loop and unknown
 neighbors against its successor table) and finds an asymmetric edge as
 a successor the face walk cannot read. Only when such a test fails does
@@ -41,23 +46,14 @@ class NotPlane(ValueError):
 
 
 @dataclass(frozen=True)
-class RotationSystem:
-    """Cyclic counterclockwise neighbor order, one tuple per vertex. Each
-    build derives a successor table from it once, in linear time."""
-
-    rotation: dict[int, tuple[int, ...]]
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[int, list[int] | tuple[int, ...]]) -> RotationSystem:
-        return cls({v: tuple(nbrs) for v, nbrs in mapping.items()})
-
-
-@dataclass(frozen=True)
 class PlaneEmbedding:
     """A rotation system together with its traced faces.
 
-    Each face is a closed walk of directed edges; `face_of` maps every
-    directed edge to the index of the unique face walk containing it.
+    `rotation` maps each vertex to its neighbors in cyclic
+    counterclockwise order, one tuple per vertex. It is the embedding's
+    own table, copied at build; callers must not modify it. Each face
+    is a closed walk of directed edges; `face_of` maps every directed
+    edge to the index of the unique face walk containing it.
     Boundary walks carry multiplicity: a bridge contributes both of its
     directions to the same face, and a cut vertex may appear several
     times on one walk. The sorted `vertices`, the vertex `degrees`, the
@@ -66,18 +62,18 @@ class PlaneEmbedding:
     and the audit index these tables.
     """
 
-    rotation: RotationSystem
+    rotation: dict[int, tuple[int, ...]]
     faces: tuple[tuple[HalfEdge, ...], ...]
     face_of: dict[HalfEdge, int] = field(repr=False)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rotation.rotation))
+        return tuple(sorted(self.rotation))
 
     @cached_property
     def degrees(self) -> dict[int, int]:
         """Vertex -> degree. Callers must not modify it."""
-        return {v: len(r) for v, r in self.rotation.rotation.items()}
+        return {v: len(r) for v, r in self.rotation.items()}
 
     @cached_property
     def face_degrees(self) -> tuple[int, ...]:
@@ -89,7 +85,7 @@ class PlaneEmbedding:
         return tuple(tuple(t for t, _ in walk) for walk in self.faces)
 
     def vertex_count(self) -> int:
-        return len(self.rotation.rotation)
+        return len(self.rotation)
 
     def edge_count(self) -> int:
         return len(self.face_of) // 2
@@ -105,7 +101,7 @@ class PlaneEmbedding:
         """Faces around v in rotation order, one per corner, with
         multiplicity: the i-th lies between the i-th and (i+1)-th
         neighbors."""
-        r = self.rotation.rotation[v]
+        r = self.rotation[v]
         return tuple(self.face_of[v, u] for u in r[1:] + r[:1])
 
 
@@ -129,8 +125,7 @@ def _check_rotation(table: dict[int, tuple[int, ...]], succ: dict[int, dict[int,
         raise MalformedRotation("rotation system has no edges")
 
 
-def _check_connected(rot: RotationSystem) -> None:
-    table = rot.rotation
+def _check_connected(table: dict[int, tuple[int, ...]]) -> None:
     start = next(iter(table))
     seen = {start}
     stack = [start]
@@ -166,14 +161,17 @@ def _trace_faces(
     return faces, face_of
 
 
-def build_embedding(rot: RotationSystem) -> PlaneEmbedding:
-    """Trace the faces of a rotation system and verify it is a sphere embedding.
+def build_embedding(rotation: dict[int, list[int] | tuple[int, ...]]) -> PlaneEmbedding:
+    """Trace the faces of a rotation table and verify it is a sphere embedding.
 
-    Raises MalformedRotation for asymmetric, looped, or duplicated
-    adjacencies, Disconnected for multi-component input, and NotPlane
-    when the traced faces violate Euler's identity V - E + F = 2.
+    `rotation` maps each vertex to a sequence of its neighbors; the
+    embedding keeps its own copy, one tuple per vertex, so later changes
+    to the caller's table do not reach it. Raises MalformedRotation for
+    asymmetric, looped, or duplicated adjacencies, Disconnected for
+    multi-component input, and NotPlane when the traced faces violate
+    Euler's identity V - E + F = 2.
     """
-    table = rot.rotation
+    table = dict(zip(rotation, map(tuple, rotation.values())))
     # succ[v][u]: the neighbor that follows u in the cyclic order at v
     succ = {v: dict(zip(r, r[1:] + r[:1])) for v, r in table.items()}
     keys = table.keys()
@@ -191,9 +189,9 @@ def build_embedding(rot: RotationSystem) -> PlaneEmbedding:
         faces, face_of = [], {}
     if not faces:  # an asymmetric edge, or no edge at all
         _check_rotation(table, succ)
-    _check_connected(rot)
+    _check_connected(table)
 
-    emb = PlaneEmbedding(rotation=rot, faces=tuple(faces), face_of=face_of)
+    emb = PlaneEmbedding(rotation=table, faces=tuple(faces), face_of=face_of)
     if euler_characteristic(emb) != 2:
         raise NotPlane(
             f"V - E + F = {euler_characteristic(emb)}, expected 2 "

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .embedding import RotationSystem, build_embedding
+from .embedding import build_embedding
 from .oneplanar import AssociatedPlaneGraph, RecoveredMultiEdge, build_drawing, validate
 
 
@@ -90,7 +90,7 @@ def catalog(name: str) -> AssociatedPlaneGraph:
     """A fixed, validated drawing from the published catalog."""
     if name == "cube-plus-diagonals":
         rot, _ = _CATALOG["cube"]
-        return quadrangulation_diagonals(RotationSystem.from_mapping(rot))
+        return quadrangulation_diagonals(rot)
     if name not in _CATALOG:
         raise UnknownCatalogName(name)
     rot, false = _CATALOG[name]
@@ -121,7 +121,7 @@ def _fill_face(rotation: dict[int, list[int]], walk: tuple[int, ...], new: int) 
 
 
 def quadrangulation_diagonals(
-    q: RotationSystem, faces: list[int] | None = None
+    q: dict[int, list[int] | tuple[int, ...]], faces: list[int] | None = None
 ) -> AssociatedPlaneGraph:
     """Fill quadrilateral faces with crossing diagonal pairs.
 
@@ -136,7 +136,7 @@ def quadrangulation_diagonals(
             raise NotQuadrangulation(f"face {i} has degree {d}")
     selected = list(range(emb.face_count())) if faces is None else list(faces)
 
-    rotation = {v: list(r) for v, r in q.rotation.items()}
+    rotation = {v: list(r) for v, r in emb.rotation.items()}
     next_id = max(rotation) + 1
     false: set[int] = set()
     for i in selected:
@@ -162,7 +162,7 @@ def _stacked_triangulation(rng: random.Random, n: int) -> dict[int, list[int]]:
     and 3-connected.
     """
     rotation: dict[int, list[int]] = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
-    k4 = build_embedding(RotationSystem.from_mapping(rotation))
+    k4 = build_embedding(rotation)
     faces = [k4.face_tails(i) for i in range(k4.face_count())]
     for w in range(4, n):
         a, b, c = faces.pop(rng.randrange(len(faces)))
@@ -182,7 +182,7 @@ def _radial_quadrangulation(triangulation: dict[int, list[int]]) -> dict[int, li
     Face k of the input becomes vertex n + k; every face of the result
     is a quadrilateral (one per input edge).
     """
-    emb = build_embedding(RotationSystem.from_mapping(triangulation))
+    emb = build_embedding(triangulation)
     n = emb.vertex_count()
     rotation: dict[int, list[int]] = {}
     for v in emb.vertices:
@@ -213,7 +213,7 @@ def _grow_quadrangulation(rng: random.Random, size: int) -> dict[int, list[int]]
         rotation = _radial_quadrangulation(_stacked_triangulation(rng, base))
         splits = size - (3 * base - 4)
     for _ in range(splits):
-        emb = build_embedding(RotationSystem.from_mapping(rotation))
+        emb = build_embedding(rotation)
         quads = [i for i, d in enumerate(emb.face_degrees) if d == 4]
         walk = emb.face_tails(rng.choice(quads))
         if rng.random() < 0.5:
@@ -243,7 +243,7 @@ def random_oneplane(params: GeneratorParams) -> AssociatedPlaneGraph:
 
     for _ in range(_MAX_ATTEMPTS):
         rotation = _grow_quadrangulation(rng, params.size)
-        emb = build_embedding(RotationSystem.from_mapping(rotation))
+        emb = build_embedding(rotation)
         target = int(params.crossing_density * emb.face_count())
 
         used_pairs: set[frozenset[int]] = {

@@ -28,7 +28,6 @@ from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 
-from .embedding import RotationSystem
 from .oneplanar import AssociatedPlaneGraph, build_drawing
 
 
@@ -80,7 +79,7 @@ def loads(text: str) -> AssociatedPlaneGraph:
         raise GraphFormatError("'rotation' must be an object keyed by vertex id")
     rotation = _rotation(rotation_doc, len(vertices))
 
-    return build_drawing(RotationSystem(rotation), false_vertices)
+    return build_drawing(rotation, false_vertices)
 
 
 def _false_vertices(vertices: list) -> frozenset[int]:
@@ -123,7 +122,7 @@ def _scan_vertices(vertices: list) -> frozenset[int]:
     return frozenset(false_vertices)
 
 
-def _rotation(rotation_doc: dict, n: int) -> dict[int, tuple[int, ...]]:
+def _rotation(rotation_doc: dict, n: int) -> dict[int, list[int]]:
     """The rotation table of vertices 0..n-1, in document order."""
     nbrs = rotation_doc.values()
     # the value types first: `chain` raises on an integer value
@@ -133,13 +132,13 @@ def _rotation(rotation_doc: dict, n: int) -> dict[int, tuple[int, ...]]:
         and set(map(type, nbrs)) <= {list}
         and set(map(type, chain.from_iterable(nbrs))) <= {int}
     ):
-        return dict(zip(map(int, rotation_doc), map(tuple, nbrs)))
+        return dict(zip(map(int, rotation_doc), nbrs))
     return _scan_rotation(rotation_doc, n)
 
 
-def _scan_rotation(rotation_doc: dict, n: int) -> dict[int, tuple[int, ...]]:
+def _scan_rotation(rotation_doc: dict, n: int) -> dict[int, list[int]]:
     """`_rotation` entry by entry, raising at the first bad entry."""
-    rotation: dict[int, tuple[int, ...]] = {}
+    rotation: dict[int, list[int]] = {}
     id_of_key = {str(v): v for v in range(n)}
     for key, nbrs in rotation_doc.items():
         if key not in id_of_key:
@@ -147,7 +146,7 @@ def _scan_rotation(rotation_doc: dict, n: int) -> dict[int, tuple[int, ...]]:
         v = id_of_key[key]
         if not isinstance(nbrs, list) or not all(type(u) is int for u in nbrs):
             raise GraphFormatError(f"rotation of vertex {v} must be a list of integers")
-        rotation[v] = tuple(nbrs)
+        rotation[v] = nbrs
     missing = set(range(n)) - set(rotation)
     if missing:
         raise GraphFormatError(f"vertices without a rotation entry: {sorted(missing)}")
@@ -156,7 +155,7 @@ def _scan_rotation(rotation_doc: dict, n: int) -> dict[int, tuple[int, ...]]:
 
 def dumps(g: AssociatedPlaneGraph) -> str:
     """Serialize a drawing to its canonical JSON text."""
-    rot = g.embedding.rotation.rotation
+    rot = g.embedding.rotation
     false = g.false_vertices
     doc = {
         "vertices": [{"id": v, "false": v in false} for v in g.embedding.vertices],

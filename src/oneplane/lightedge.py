@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oneplanar import (
-    AssociatedPlaneGraph,
-    OriginalGraphView,
-    ValidationReport,
-    drawing_diagnostics,
-    recover_original,
-    validate,
-)
+from .oneplanar import AssociatedPlaneGraph, OriginalGraphView, recover_original
 
 # Per profile: smaller endpoint degree -> largest allowed partner degree.
 PROFILES: dict[str, dict[int, int]] = {
@@ -85,16 +78,12 @@ class GuaranteeVerdict:
     `light_edges` lists every light edge of the recovered graph, as
     `find_light_edges` orders them, whatever the status.
     `counterexample-candidate` never occurs for a valid drawing of a
-    minimum-degree-3 graph; when it does appear, the validation and
-    diagnostics reports are attached so the input (or the engine) can be
-    debugged.
+    minimum-degree-3 graph.
     """
 
     status: str
     min_degree: int
     witness: LightEdgeWitness | None = None
-    validation: ValidationReport | None = None
-    diagnostics: ValidationReport | None = None
     light_edges: tuple[LightEdgeWitness, ...] = ()
 
 
@@ -114,9 +103,4 @@ def check_light_edge_guarantee(
         return GuaranteeVerdict(HYPOTHESIS_UNMET, min_degree, light_edges=witnesses)
     if witnesses:
         return GuaranteeVerdict(WITNESS_FOUND, min_degree, witnesses[0], light_edges=witnesses)
-    return GuaranteeVerdict(
-        status=COUNTEREXAMPLE_CANDIDATE,
-        min_degree=min_degree,
-        validation=validate(g),
-        diagnostics=drawing_diagnostics(g),
-    )
+    return GuaranteeVerdict(COUNTEREXAMPLE_CANDIDATE, min_degree)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .embedding import PlaneEmbedding, RotationSystem, build_embedding
+from .embedding import PlaneEmbedding, build_embedding
 
 
 class RecoveredLoop(ValueError):
@@ -61,7 +61,7 @@ class AssociatedPlaneGraph:
         face_of = emb.face_of
         out: list[CrossingNeighborhood] = []
         for f in self.sorted_false_vertices:
-            r = emb.rotation.rotation[f]
+            r = emb.rotation[f]
             if len(r) != 4:
                 raise ValueError(f"false vertex {f} has degree {len(r)}, not 4")
             k = r.index(min(r))
@@ -84,15 +84,14 @@ class AssociatedPlaneGraph:
 
 
 def build_drawing(
-    rotation: RotationSystem | dict[int, list[int] | tuple[int, ...]],
+    rotation: dict[int, list[int] | tuple[int, ...]],
     false_vertices: set[int] | frozenset[int] = frozenset(),
 ) -> AssociatedPlaneGraph:
     """Build and embed a planarized drawing from a rotation table."""
-    rot = rotation if isinstance(rotation, RotationSystem) else RotationSystem.from_mapping(rotation)
-    emb = build_embedding(rot)
+    emb = build_embedding(rotation)
     marks = frozenset(false_vertices)
-    if not marks <= rot.rotation.keys():
-        unknown = sorted(marks - rot.rotation.keys())
+    if not marks <= emb.rotation.keys():
+        unknown = sorted(marks - emb.rotation.keys())
         raise ValueError(f"false-vertex marks name unknown vertices: {unknown}")
     return AssociatedPlaneGraph(embedding=emb, false_vertices=marks)
 
@@ -140,7 +139,7 @@ def _follow_segment(g: AssociatedPlaneGraph, start: int, toward: int) -> tuple[i
     walk cycles through false vertices without reaching one, or an empty
     path if it meets a false vertex whose degree is not 4.
     """
-    rot = g.embedding.rotation.rotation
+    rot = g.embedding.rotation
     path = [start, toward]
     prev, cur = start, toward
     budget = len(rot) + 1
@@ -171,7 +170,7 @@ def _straighten(
     instance; so do, unreported, walks that meet a false vertex of degree
     other than 4, which validate() flags on its own.
     """
-    rot = g.embedding.rotation.rotation
+    rot = g.embedding.rotation
     false = g.false_vertices
     problems: list[Violation] = []
 
@@ -228,7 +227,7 @@ def validate(g: AssociatedPlaneGraph) -> ValidationReport:
     An empty report means: every false vertex has degree 4, no two false
     vertices are adjacent, and the recovered original graph is simple.
     """
-    rot = g.embedding.rotation.rotation
+    rot = g.embedding.rotation
     violations: list[Violation] = []
 
     for f in g.sorted_false_vertices:
@@ -249,9 +248,9 @@ def validate(g: AssociatedPlaneGraph) -> ValidationReport:
 class OriginalGraphView:
     """The abstract graph obtained by straightening all crossings.
 
-    The set of `edges`, with each pair ordered, is derived once, on the
-    first `has_edge` call, so every later lookup takes constant time and
-    always agrees with `edges`.
+    The set of `edges` is derived once, on the first `has_edge` call. A
+    lookup tries the pair both ways round, so it takes constant time and
+    agrees with `edges` however each pair is ordered.
     """
 
     vertices: tuple[int, ...]
@@ -263,10 +262,11 @@ class OriginalGraphView:
 
     @cached_property
     def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((min(a, b), max(a, b)) for a, b in self.edges)
+        return frozenset(self.edges)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._edge_set
+        s = self._edge_set
+        return (a, b) in s or (b, a) in s
 
 
 def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
@@ -343,7 +343,7 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
       a false vertex.
     """
     emb = g.embedding
-    rot = emb.rotation.rotation
+    rot = emb.rotation
     false = g.false_vertices
     flags: list[Violation] = []
 

@@ -228,7 +228,7 @@ def _assert_matches_oracle(name, g, final, transfers):
     """The audit of (final, transfers) equals `naive_audit`'s, field by
     field, failure messages and their order included."""
     report = audit(g, final, transfers)
-    ref = naive_audit(g.embedding.rotation.rotation, g.false_vertices, final.charges, transfers)
+    ref = naive_audit(g.embedding.rotation, g.false_vertices, final.charges, transfers)
     assert report.initial_total == ref["initial_total"], name
     assert report.final_total == ref["final_total"], name
     assert {

@@ -239,7 +239,7 @@ def test_engine_is_pure_and_deterministic():
 def test_mirror_drawing_discharges_identically():
     g = catalog("k6-three-crossings")
     mirrored = build_drawing(
-        {v: list(reversed(r)) for v, r in g.embedding.rotation.rotation.items()},
+        {v: list(reversed(r)) for v, r in g.embedding.rotation.items()},
         g.false_vertices,
     )
     final, transfers = apply_discharging(g)
@@ -345,7 +345,7 @@ def test_engine_matches_naive_oracle_spot_checks():
     for g in spot_check_drawings():
         _, transfers = apply_discharging(g)
         engine = sorted(ledger_lines(transfers))
-        oracle = sorted(naive_ledger(g.embedding.rotation.rotation, set(g.false_vertices)))
+        oracle = sorted(naive_ledger(g.embedding.rotation, set(g.false_vertices)))
         assert engine == oracle
 
 
@@ -368,7 +368,7 @@ def test_boundary_multiplicity_semantics_on_degenerate_drawings():
         final, transfers = apply_discharging(g)
         assert final.total() == -8, name
         engine = sorted(ledger_lines(transfers))
-        oracle = sorted(naive_ledger(g.embedding.rotation.rotation, set(g.false_vertices)))
+        oracle = sorted(naive_ledger(g.embedding.rotation, set(g.false_vertices)))
         assert engine == oracle, name
 
 
@@ -422,7 +422,7 @@ def test_r6_band_boundaries(m):
 def _assert_final_charges_match_oracle(g, final, name):
     # one exact Fraction per element, keyed in initial-charge order, each
     # equal to the oracle's balance moved one transfer at a time
-    _, balance = naive_run(g.embedding.rotation.rotation, set(g.false_vertices))
+    _, balance = naive_run(g.embedding.rotation, set(g.false_vertices))
     assert list(final.charges) == list(initial_charges(g).charges), name
     assert all(type(q) is Fraction for q in final.charges.values()), name
     assert {element_label(el): q for el, q in final.charges.items()} == balance, name
@@ -463,7 +463,7 @@ def test_final_charges_match_the_naive_oracle_on_random_drawings(seed, size, den
     final, transfers = apply_discharging(g)
     _assert_final_charges_match_oracle(g, final, (seed, size, density))
     engine = sorted(ledger_lines(transfers))
-    assert engine == sorted(naive_run(g.embedding.rotation.rotation, set(g.false_vertices))[0])
+    assert engine == sorted(naive_run(g.embedding.rotation, set(g.false_vertices))[0])
 
 
 def _observed(g):
@@ -489,7 +489,7 @@ def test_rotation_start_does_not_matter(seed, size, density, rng):
     except GenerationFailed:
         reject()
     turned = {}
-    for v, r in g.embedding.rotation.rotation.items():
+    for v, r in g.embedding.rotation.items():
         k = rng.randrange(len(r))
         turned[v] = r[k:] + r[:k]
     assert _observed(build_drawing(turned, g.false_vertices)) == _observed(g)
@@ -515,7 +515,7 @@ def test_relabelling_commutes_with_every_output(seed, size, density, rng):
     rng.shuffle(labels)
     vmap = dict(zip(g.embedding.vertices, labels))
     h = build_drawing(
-        {vmap[v]: [vmap[u] for u in r] for v, r in g.embedding.rotation.rotation.items()},
+        {vmap[v]: [vmap[u] for u in r] for v, r in g.embedding.rotation.items()},
         {vmap[v] for v in g.false_vertices},
     )
     fmap = [h.embedding.face_of[vmap[u], vmap[v]] for (u, v), *_ in g.embedding.faces]

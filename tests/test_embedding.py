@@ -13,7 +13,6 @@ from oneplane.embedding import (
     Disconnected,
     MalformedRotation,
     NotPlane,
-    RotationSystem,
     build_embedding,
     euler_characteristic,
 )
@@ -26,25 +25,21 @@ CUBE = {
 }
 
 
-def build(mapping):
-    return build_embedding(RotationSystem.from_mapping(mapping))
-
-
 def test_triangle_has_two_triangular_faces():
-    emb = build(TRIANGLE)
+    emb = build_embedding(TRIANGLE)
     assert emb.face_count() == 2
     assert [emb.face_degrees[i] for i in range(2)] == [3, 3]
     assert euler_characteristic(emb) == 2
 
 
 def test_single_edge_is_one_face_of_degree_two():
-    emb = build({0: [1], 1: [0]})
+    emb = build_embedding({0: [1], 1: [0]})
     assert emb.face_count() == 1
     assert emb.face_degrees[0] == 2
 
 
 def test_k4_faces_match_independent_tracer():
-    emb = build(K4)
+    emb = build_embedding(K4)
     assert emb.face_count() == 4
     assert sorted(emb.face_degrees[i] for i in range(4)) == [3, 3, 3, 3]
     assert euler_characteristic(emb) == 2
@@ -53,7 +48,7 @@ def test_k4_faces_match_independent_tracer():
 
 
 def test_cube_euler_and_faces():
-    emb = build(CUBE)
+    emb = build_embedding(CUBE)
     assert emb.vertex_count() - emb.edge_count() + emb.face_count() == 8 - 12 + 6
     assert sorted(emb.face_degrees[i] for i in range(6)) == [4] * 6
     oracle = naive_faces({v: tuple(r) for v, r in CUBE.items()})
@@ -61,15 +56,15 @@ def test_cube_euler_and_faces():
 
 
 def test_face_walks_partition_half_edges():
-    emb = build(K4)
+    emb = build_embedding(K4)
     walked = [d for walk in emb.faces for d in walk]
     assert len(walked) == len(set(walked)) == 2 * emb.edge_count()
     assert sum(emb.face_degrees[i] for i in range(emb.face_count())) == 2 * emb.edge_count()
 
 
 def test_rebuild_is_deterministic():
-    a = build(CUBE)
-    b = build(CUBE)
+    a = build_embedding(CUBE)
+    b = build_embedding(CUBE)
     assert a.faces == b.faces
     assert a.face_of == b.face_of
 
@@ -77,8 +72,8 @@ def test_rebuild_is_deterministic():
 def assert_matches_oracle(rotation):
     """The faces and `face_of`, in its insertion order, equal those of
     the independent tracer."""
-    emb = build(rotation)
-    oracle = naive_faces(emb.rotation.rotation)
+    emb = build_embedding(rotation)
+    oracle = naive_faces(emb.rotation)
     assert [list(w) for w in emb.faces] == oracle
     assert list(emb.face_of.items()) == [(d, i) for i, w in enumerate(oracle) for d in w]
 
@@ -103,11 +98,11 @@ def test_turned_wheel_faces_match_independent_tracer(spokes):
 
 def test_corpus_faces_match_independent_tracer(corpus):
     for _, g in corpus:
-        assert_matches_oracle(g.embedding.rotation.rotation)
+        assert_matches_oracle(g.embedding.rotation)
 
 
 def assert_degree_tables(emb):
-    rotation = emb.rotation.rotation
+    rotation = emb.rotation
     assert emb.degrees == {v: len(r) for v, r in rotation.items()}
     assert emb.face_degrees == tuple(len(walk) for walk in naive_faces(rotation))
     assert all(emb.degrees[v] == len(r) for v, r in rotation.items())
@@ -119,7 +114,7 @@ def assert_degree_tables(emb):
 
 @pytest.mark.parametrize("spokes", [3, 4, 5, 7, 30, 300, 3000])
 def test_turned_wheel_degree_tables_match_rotation_and_walks(spokes):
-    emb = build(turned_wheel(spokes, seed=spokes))
+    emb = build_embedding(turned_wheel(spokes, seed=spokes))
     assert_degree_tables(emb)
     assert emb.degrees[0] == spokes
     assert sorted(emb.face_degrees) == [3] * spokes + [spokes]
@@ -160,48 +155,48 @@ def test_corpus_degree_tables_match_rotation_and_walks(corpus):
 )
 def test_malformed_rotation_messages_and_first_error(rotation, message):
     with pytest.raises(MalformedRotation) as err:
-        build(rotation)
+        build_embedding(rotation)
     assert str(err.value) == message
 
 
 def test_asymmetric_rotation_rejected():
     with pytest.raises(MalformedRotation):
-        build({0: [1], 1: []})
+        build_embedding({0: [1], 1: []})
 
 
 def test_loop_rejected():
     with pytest.raises(MalformedRotation):
-        build({0: [0, 1], 1: [0]})
+        build_embedding({0: [0, 1], 1: [0]})
 
 
 def test_duplicate_neighbor_rejected():
     with pytest.raises(MalformedRotation):
-        build({0: [1, 1], 1: [0, 0]})
+        build_embedding({0: [1, 1], 1: [0, 0]})
 
 
 def test_empty_and_edgeless_rejected():
     with pytest.raises(MalformedRotation):
-        build({})
+        build_embedding({})
     with pytest.raises(MalformedRotation):
-        build({0: []})
+        build_embedding({0: []})
 
 
 def test_disconnected_rejected():
     with pytest.raises(Disconnected):
-        build({0: [1], 1: [0], 2: [3], 3: [2]})
+        build_embedding({0: [1], 1: [0], 2: [3], 3: [2]})
 
 
 def test_disconnection_outranks_euler():
     k5 = {v: [u for u in range(5) if u != v] for v in range(5)}
     with pytest.raises(Disconnected, match="2 vertices unreachable from 0"):
-        build({**k5, 5: [6], 6: [5]})
+        build_embedding({**k5, 5: [6], 6: [5]})
 
 
 def test_k5_rotation_is_not_plane():
     # K5 admits no sphere embedding, whatever the rotation
     k5 = {v: [u for u in range(5) if u != v] for v in range(5)}
     with pytest.raises(NotPlane):
-        build(k5)
+        build_embedding(k5)
 
 
 @st.composite
@@ -230,12 +225,12 @@ def rotation_systems(draw):
 @settings(max_examples=120, deadline=None)
 def test_tracing_invariants_on_random_rotations(rotation):
     try:
-        emb = build(rotation)
+        emb = build_embedding(rotation)
     except NotPlane:
         return
     assert euler_characteristic(emb) == 2
     walked = [d for walk in emb.faces for d in walk]
     assert len(walked) == len(set(walked)) == 2 * emb.edge_count()
-    again = build(rotation)
+    again = build_embedding(rotation)
     assert again.faces == emb.faces
     assert_matches_oracle(rotation)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneplane import graphio
-from oneplane.embedding import RotationSystem
 from oneplane.generators import (
     GenerationFailed,
     GeneratorParams,
@@ -53,7 +52,7 @@ def test_unknown_catalog_name():
 
 
 def test_four_cycle_single_fill_gives_k4():
-    g = quadrangulation_diagonals(RotationSystem.from_mapping(C4), faces=[0])
+    g = quadrangulation_diagonals(C4, faces=[0])
     view = recover_original(g)
     assert len(view.vertices) == 4
     assert len(view.edges) == 6
@@ -62,11 +61,11 @@ def test_four_cycle_single_fill_gives_k4():
 
 def test_four_cycle_double_fill_breaks_simplicity():
     with pytest.raises(RecoveredMultiEdge):
-        quadrangulation_diagonals(RotationSystem.from_mapping(C4))
+        quadrangulation_diagonals(C4)
 
 
 def test_cube_fill_is_six_regular():
-    g = quadrangulation_diagonals(RotationSystem.from_mapping(catalog("cube").embedding.rotation.rotation))
+    g = quadrangulation_diagonals(catalog("cube").embedding.rotation)
     view = recover_original(g)
     assert len(view.vertices) == 8
     assert len(view.edges) == 24
@@ -75,7 +74,7 @@ def test_cube_fill_is_six_regular():
 
 
 def test_fill_counts_match_selection():
-    cube_rot = RotationSystem.from_mapping(catalog("cube").embedding.rotation.rotation)
+    cube_rot = catalog("cube").embedding.rotation
     g = quadrangulation_diagonals(cube_rot, faces=[0, 2, 4])
     assert len(g.false_vertices) == 3
     assert len(recover_original(g).edges) == 12 + 2 * 3
@@ -84,7 +83,7 @@ def test_fill_counts_match_selection():
 def test_non_quadrangulation_rejected():
     k4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
     with pytest.raises(NotQuadrangulation):
-        quadrangulation_diagonals(RotationSystem.from_mapping(k4))
+        quadrangulation_diagonals(k4)
 
 
 def test_generation_is_deterministic():

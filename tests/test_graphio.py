@@ -270,7 +270,7 @@ def outcome(load, text):
 
 def _loaded(text):
     g = graphio.loads(text)
-    return list(g.embedding.rotation.rotation.items()), g.false_vertices
+    return list(g.embedding.rotation.items()), g.false_vertices
 
 
 @functools.cache

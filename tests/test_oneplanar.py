@@ -12,7 +12,9 @@ from gadgets import (
     encircled_gadget,
     squeezed_gadget,
 )
+from oneplane.embedding import build_embedding
 from oneplane.generators import GeneratorParams, catalog, random_oneplane
+from oneplane.graphio import dumps
 from oneplane.oneplanar import (
     ADJACENT_FALSE,
     CROSSING_EDGE_ON_TWO_TRIANGLES,
@@ -22,6 +24,7 @@ from oneplane.oneplanar import (
     RECOVERED_LOOP,
     RECOVERED_MULTI_EDGE,
     SQUEEZED_3_VERTEX,
+    AssociatedPlaneGraph,
     OriginalGraphView,
     RecoveredLoop,
     RecoveredMultiEdge,
@@ -34,6 +37,32 @@ from oneplane.oneplanar import (
 )
 
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
+
+
+@pytest.mark.parametrize("seq", [list, tuple])
+@pytest.mark.parametrize("via_drawing", [False, True], ids=["build_embedding", "build_drawing"])
+def test_embedding_owns_its_rotation_table(seq, via_drawing):
+    source = catalog("k5-one-crossing")
+    table = {v: seq(r) for v, r in source.embedding.rotation.items()}
+    if via_drawing:
+        g = build_drawing(table, source.false_vertices)
+    else:
+        g = AssociatedPlaneGraph(build_embedding(table), source.false_vertices)
+    # change the caller's lists in place, then every entry of its dict
+    for r in table.values():
+        if isinstance(r, list):
+            r.reverse()
+    for v in list(table):
+        table[v] = table[v][1:]
+    table[6] = ()
+
+    emb, fresh = g.embedding, source.embedding
+    assert emb.rotation == fresh.rotation
+    assert all(type(r) is tuple for r in emb.rotation.values())
+    assert emb.degrees == fresh.degrees
+    assert all(emb.corner_faces(v) == fresh.corner_faces(v) for v in emb.vertices)
+    assert dumps(g) == dumps(source)
+    assert len(set(crossing_neighborhoods(g))) == 1  # endpoints are hashable
 
 
 def test_plane_triangulation_validates_clean():
@@ -85,7 +114,7 @@ def test_has_edge_agrees_with_edges():
     g = catalog("cube-plus-diagonals")
     view = recover_original(g)
     edges = set(view.edges)
-    ids = sorted(g.embedding.rotation.rotation)
+    ids = sorted(g.embedding.rotation)
     assert len(edges) < len(view.vertices) * (len(view.vertices) - 1) // 2  # has non-edges
     for a in ids:
         for b in ids:
@@ -232,7 +261,7 @@ def test_crossing_edge_on_two_triangles_flagged():
 def test_neighborhood_invariant_under_rotation_of_stored_lists():
     g = catalog("k6-three-crossings")
     base = {h.false_vertex: h.crossing_pairs() for h in crossing_neighborhoods(g)}
-    rot = {v: list(r) for v, r in g.embedding.rotation.rotation.items()}
+    rot = {v: list(r) for v, r in g.embedding.rotation.items()}
     for v in g.false_vertices:  # rotating the stored list keeps the embedding
         rot[v] = rot[v][2:] + rot[v][:2]
     g2 = build_drawing(rot, g.false_vertices)
