@@ -30,8 +30,8 @@ from .generators import (
     random_oneplane,
 )
 from .lightedge import (
+    BOUNDS,
     LightEdgeWitness,
-    PROFILES,
     check_light_edge_guarantee,
     classify_edge,
     find_light_edges,

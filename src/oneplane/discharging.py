@@ -146,9 +146,6 @@ class Transfer(NamedTuple):
     amount: Fraction
     via: int | None = None
 
-    def ledger_line(self) -> str:
-        return ledger_lines([self])[0]
-
 
 @dataclass(frozen=True)
 class ChargeState:

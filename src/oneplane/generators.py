@@ -126,15 +126,25 @@ def quadrangulation_diagonals(
     """Fill quadrilateral faces with crossing diagonal pairs.
 
     By default every face of the quadrangulation is filled; pass face
-    indices to fill a subset. Raises NotQuadrangulation if any face is
-    not a 4-walk over distinct vertices, and propagates simplicity
-    violations from validation as RecoveredMultiEdge-kind errors.
+    indices to fill a subset. Raises ValueError naming a repeated or
+    out-of-range index before any face is filled, NotQuadrangulation if
+    any face is not a 4-walk over distinct vertices, and propagates
+    simplicity violations from validation as RecoveredMultiEdge-kind
+    errors.
     """
     emb = build_embedding(q)
     for i, d in enumerate(emb.face_degrees):
         if d != 4:
             raise NotQuadrangulation(f"face {i} has degree {d}")
-    selected = list(range(emb.face_count())) if faces is None else list(faces)
+    count = emb.face_count()
+    selected = list(range(count)) if faces is None else list(faces)
+    seen: set[int] = set()
+    for i in selected:
+        if not 0 <= i < count:
+            raise ValueError(f"face index {i} is out of range: the embedding has {count} faces")
+        if i in seen:
+            raise ValueError(f"face index {i} is repeated")
+        seen.add(i)
 
     rotation = {v: list(r) for v, r in emb.rotation.items()}
     next_id = max(rotation) + 1

@@ -2,28 +2,25 @@
 
 An edge is light when the degrees of its endpoints, taken in the
 recovered original graph, fall inside one of the bounded degree types of
-the active profile. The default profile guarantees, for every valid
-drawing of a simple graph with minimum degree 3, an edge of type
-(3, <=23), (4, <=11), (5, <=9), (6, <=8) or (7, 7). The alternative
-profile "thm11" carries the older minimum-degree-4 list, which starts at
-(4, <=13) and has no degree-3 type.
+a bound table. The default table, `BOUNDS`, is the theorem's: every
+valid drawing of a simple graph with minimum degree 3 has an edge of
+type (3, <=23), (4, <=11), (5, <=9), (6, <=8) or (7, 7). A caller may
+pass another table, such as a lowered one; its least key is the minimum
+degree its guarantee assumes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .oneplanar import AssociatedPlaneGraph, OriginalGraphView, recover_original
 
-# Per profile: smaller endpoint degree -> largest allowed partner degree.
-PROFILES: dict[str, dict[int, int]] = {
-    "thm12": {3: 23, 4: 11, 5: 9, 6: 8, 7: 7},
-    "thm11": {4: 13, 5: 9, 6: 8, 7: 7},
-}
-DEFAULT_PROFILE = "thm12"
+# Smaller endpoint degree -> largest allowed partner degree.
+BOUNDS: Mapping[int, int] = {3: 23, 4: 11, 5: 9, 6: 8, 7: 7}
 
 
-def classify_edge(a: int, b: int, profile: str = DEFAULT_PROFILE) -> str | None:
+def classify_edge(a: int, b: int, bounds: Mapping[int, int] = BOUNDS) -> str | None:
     """Light type of an edge with endpoint degrees a and b, or None.
 
     The type is tagged by its smaller endpoint degree, as "T3" to "T7".
@@ -33,7 +30,7 @@ def classify_edge(a: int, b: int, profile: str = DEFAULT_PROFILE) -> str | None:
     if a < 1 or b < 1:
         raise ValueError("degrees must be positive")
     lo, hi = min(a, b), max(a, b)
-    bound = PROFILES[profile].get(lo)
+    bound = bounds.get(lo)
     if bound is not None and hi <= bound:
         return f"T{lo}"
     return None
@@ -47,7 +44,7 @@ class LightEdgeWitness:
 
 
 def find_light_edges(
-    view: OriginalGraphView, profile: str = DEFAULT_PROFILE
+    view: OriginalGraphView, bounds: Mapping[int, int] = BOUNDS
 ) -> list[LightEdgeWitness]:
     """All light edges of the recovered graph, sorted by (type, degree, ids)."""
     deg = view.degrees
@@ -59,7 +56,7 @@ def find_light_edges(
         try:
             tag = types[degrees]
         except KeyError:
-            tag = types[degrees] = classify_edge(*degrees, profile)
+            tag = types[degrees] = classify_edge(*degrees, bounds)
         if tag is not None:
             found.append(LightEdgeWitness((a, b), degrees, tag))
     found.sort(key=lambda w: (w.light_type, min(w.degrees), w.edge))
@@ -77,8 +74,8 @@ class GuaranteeVerdict:
 
     `light_edges` lists every light edge of the recovered graph, as
     `find_light_edges` orders them, whatever the status.
-    `counterexample-candidate` never occurs for a valid drawing of a
-    minimum-degree-3 graph.
+    Under `BOUNDS`, `counterexample-candidate` never occurs for a valid
+    drawing of a minimum-degree-3 graph.
     """
 
     status: str
@@ -88,18 +85,19 @@ class GuaranteeVerdict:
 
 
 def check_light_edge_guarantee(
-    g: AssociatedPlaneGraph, profile: str = DEFAULT_PROFILE
+    g: AssociatedPlaneGraph, bounds: Mapping[int, int] = BOUNDS
 ) -> GuaranteeVerdict:
     """Search for a guaranteed light edge in a valid drawing.
 
-    Requires minimum degree 3 in the recovered graph (4 under "thm11");
-    anything lower is reported as hypothesis-unmet, with no witness.
+    Requires the recovered graph's minimum degree to be at least the
+    least key of `bounds` (3 under `BOUNDS`); anything lower is reported
+    as hypothesis-unmet, with no witness.
     The edges are classified once, for the witness and `light_edges`.
     """
     view = recover_original(g)
     min_degree = view.min_degree()
-    witnesses = tuple(find_light_edges(view, profile))
-    if min_degree < min(PROFILES[profile]):
+    witnesses = tuple(find_light_edges(view, bounds))
+    if min_degree < min(bounds):
         return GuaranteeVerdict(HYPOTHESIS_UNMET, min_degree, light_edges=witnesses)
     if witnesses:
         return GuaranteeVerdict(WITNESS_FOUND, min_degree, witnesses[0], light_edges=witnesses)

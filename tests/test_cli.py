@@ -102,9 +102,9 @@ def test_light_edges_json_lists_ten_t4_witnesses(k5_file, capsys):
     assert {w["type"] for w in doc["light_edges"]} == {"T4"}
 
 
-def test_light_edges_profile_flag(k5_file, capsys):
-    assert main(["light-edges", k5_file, "--profile", "thm11"]) == 0
-    capsys.readouterr()
+def test_light_edges_profile_flag_is_a_usage_error(k5_file, capsys):
+    assert main(["light-edges", k5_file, "--profile", "thm12"]) == 64
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_hypothesis_unmet_exit_code(tmp_path, capsys):

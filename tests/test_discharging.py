@@ -290,7 +290,7 @@ def test_ledger_lines_equal_the_per_transfer_rendering(corpus_runs):
     for transfers in ledgers:
         ordered = sorted(transfers, key=_export_order)
         lines = ledger_lines(transfers)
-        assert lines == [t.ledger_line() for t in ordered] == [_line(t) for t in ordered]
+        assert lines == [ledger_lines([t])[0] for t in ordered] == [_line(t) for t in ordered]
         rules |= {t.rule for t in transfers}
     assert {"R1", "R2", "R3", "R4", "R5", "R6.1", "R6.2", "R6.3", "R6.4", "R7", "R8"} <= rules
 

@@ -80,6 +80,17 @@ def test_fill_counts_match_selection():
     assert len(recover_original(g).edges) == 12 + 2 * 3
 
 
+def test_bad_face_indices_rejected_before_any_fill():
+    # a repeated index (-1 is face 5 on the cube) would fill a face twice
+    # and surface as a misleading NotPlane; 6 is past the cube's last face
+    cube_rot = catalog("cube").embedding.rotation
+    for faces, message in (([0, 0], "face index 0 is repeated"),
+                           ([-1, 5], "face index -1 is out of range"),
+                           ([6], "face index 6 is out of range")):
+        with pytest.raises(ValueError, match=message):
+            quadrangulation_diagonals(cube_rot, faces=faces)
+
+
 def test_non_quadrangulation_rejected():
     k4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
     with pytest.raises(NotQuadrangulation):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oneplane.generators import catalog
 from oneplane.lightedge import (
+    BOUNDS,
     COUNTEREXAMPLE_CANDIDATE,
     HYPOTHESIS_UNMET,
-    PROFILES,
     WITNESS_FOUND,
     LightEdgeWitness,
     check_light_edge_guarantee,
@@ -18,6 +18,10 @@ from oneplane.lightedge import (
     find_light_edges,
 )
 from oneplane.oneplanar import OriginalGraphView, build_drawing, recover_original
+
+# The older minimum-degree-4 list of Hudak and Sugerek, which the default
+# table improves on: it starts at (4, <=13) and has no degree-3 type.
+HUDAK_SUGEREK = {4: 13, 5: 9, 6: 8, 7: 7}
 
 
 def test_threshold_examples():
@@ -34,11 +38,11 @@ def test_smaller_endpoint_wins_ties():
     assert classify_edge(5, 7) == "T5"
 
 
-def test_min_degree_profile_differs():
-    assert classify_edge(4, 13, profile="thm11") == "T4"
-    assert classify_edge(4, 13, profile="thm12") is None
-    assert classify_edge(3, 3, profile="thm11") is None
-    assert classify_edge(5, 9, profile="thm11") == "T5"
+def test_bound_table_differs():
+    assert classify_edge(4, 13, HUDAK_SUGEREK) == "T4"
+    assert classify_edge(4, 13, BOUNDS) is None
+    assert classify_edge(3, 3, HUDAK_SUGEREK) is None
+    assert classify_edge(5, 9, HUDAK_SUGEREK) == "T5"
 
 
 @given(st.integers(1, 200), st.integers(1, 200))
@@ -99,11 +103,11 @@ def test_verdict_hypothesis_unmet_on_path():
     assert verdict.min_degree == 1
 
 
-def test_min_degree_profile_needs_degree_four():
-    verdict = check_light_edge_guarantee(catalog("k4"), profile="thm11")
+def test_table_without_degree_three_needs_degree_four():
+    verdict = check_light_edge_guarantee(catalog("k4"), HUDAK_SUGEREK)
     assert verdict.status == HYPOTHESIS_UNMET
     assert verdict.min_degree == 3
-    assert check_light_edge_guarantee(catalog("k5-one-crossing"), profile="thm11").status == WITNESS_FOUND
+    assert check_light_edge_guarantee(catalog("k5-one-crossing"), HUDAK_SUGEREK).status == WITNESS_FOUND
 
 
 def test_verdict_never_candidate_on_catalog():
@@ -111,6 +115,21 @@ def test_verdict_never_candidate_on_catalog():
                  "k6-three-crossings", "cube-plus-diagonals"):
         verdict = check_light_edge_guarantee(catalog(name))
         assert verdict.status != COUNTEREXAMPLE_CANDIDATE, name
+
+
+def test_lowered_table_gives_candidate():
+    """Each drawing is regular, so lowering the one bound its edges meet
+    leaves no light edge and no witness. These are not sharpness proofs:
+    the edges are of type (6,6), (5,5) and (3,3), not the extremal types
+    (3,23), (4,11), (5,9), (6,8) or (7,7) of the theorem's table."""
+    for name, bounds, degree in (("cube-plus-diagonals", {**BOUNDS, 6: 5}, 6),
+                                 ("icosahedron", {**BOUNDS, 5: 4}, 5),
+                                 ("k4", {**BOUNDS, 3: 2}, 3)):
+        verdict = check_light_edge_guarantee(catalog(name), bounds)
+        assert verdict.status == COUNTEREXAMPLE_CANDIDATE, name
+        assert verdict.min_degree == degree, name
+        assert verdict.witness is None, name
+        assert verdict.light_edges == (), name
 
 
 def test_degree_below_one_rejected():
@@ -126,12 +145,12 @@ def test_witnesses_equal_the_per_edge_classification(corpus):
     # witnesses and their order must be those of classifying every edge
     for name, g in corpus:
         view = recover_original(g)
-        for profile in PROFILES:
+        for bounds in (BOUNDS, {**BOUNDS, 6: 5}, HUDAK_SUGEREK):
             reference = []
             for a, b in view.edges:
                 degrees = (view.degrees[a], view.degrees[b])
-                tag = classify_edge(*degrees, profile)
+                tag = classify_edge(*degrees, bounds)
                 if tag is not None:
                     reference.append(LightEdgeWitness((a, b), degrees, tag))
             reference.sort(key=lambda w: (w.light_type, min(w.degrees), w.edge))
-            assert find_light_edges(view, profile) == reference, (name, profile)
+            assert find_light_edges(view, bounds) == reference, (name, bounds)
