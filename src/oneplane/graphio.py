@@ -18,6 +18,13 @@ The vertex list and the rotation object are each tested as a whole (the
 set of their value types, the id range, the key set). Only when such a
 test fails does the entry-by-entry scan run, to name the first bad
 entry with the message and offset it would have given alone.
+
+`dumps` writes those two lists, the vertex entries and the rotation
+rows, through one fixed template per entry. Its text is that of
+`json.dumps(doc, indent=2)` plus a newline, byte for byte; tests and CI
+compare the two. It refuses, with a ValueError, a drawing whose vertex
+ids are not the integers 0..n-1 (bools do not count) or whose
+neighbors are not integers: `load` would reject the file.
 """
 
 from __future__ import annotations
@@ -153,15 +160,35 @@ def _scan_rotation(rotation_doc: dict, n: int) -> dict[int, list[int]]:
     return rotation
 
 
+# One vertex entry and one rotation row of `json.dumps(doc, indent=2)`.
+# A rotation row is never empty: a drawing is connected and has an edge.
+_VERTEX = '    {\n      "id": %d,\n      "false": %s\n    }'
+_ROW = '    "%d": [\n      %s\n    ]'
+_ROW_SEP = ",\n      "
+
+
 def dumps(g: AssociatedPlaneGraph) -> str:
-    """Serialize a drawing to its canonical JSON text."""
-    rot = g.embedding.rotation
-    false = g.false_vertices
-    doc = {
-        "vertices": [{"id": v, "false": v in false} for v in g.embedding.vertices],
-        "rotation": {str(v): list(rot[v]) for v in g.embedding.vertices},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize a drawing to its canonical JSON text.
+
+    The text is `json.dumps(doc, indent=2) + "\n"` of the document
+
+        {"vertices": [{"id": v, "false": v in g.false_vertices}, ...],
+         "rotation": {str(v): list(g.embedding.rotation[v]), ...}}
+
+    over the sorted vertices, with each vertex entry and each rotation
+    row formatted by a fixed template. Raises ValueError unless the
+    vertex ids are exactly the ints 0..n-1 and every neighbor is an int,
+    so that `str(v)` is the key and every written file loads.
+    """
+    emb = g.embedding
+    vertices, rot, false = emb.vertices, emb.rotation, g.false_vertices
+    if set(map(type, vertices)) != {int} or vertices != tuple(range(len(vertices))):
+        raise ValueError("only a drawing with vertex ids 0..n-1 can be written")
+    if set(map(type, chain.from_iterable(rot.values()))) != {int}:
+        raise ValueError("only a drawing with integer neighbors can be written")
+    entries = ",\n".join([_VERTEX % (v, "true" if v in false else "false") for v in vertices])
+    rows = ",\n".join([_ROW % (v, _ROW_SEP.join(map(str, rot[v]))) for v in vertices])
+    return '{\n  "vertices": [\n%s\n  ],\n  "rotation": {\n%s\n  }\n}\n' % (entries, rows)
 
 
 def load(path: str | Path) -> AssociatedPlaneGraph:
@@ -173,4 +200,5 @@ def load(path: str | Path) -> AssociatedPlaneGraph:
 
 
 def save(g: AssociatedPlaneGraph, path: str | Path) -> None:
-    Path(path).write_text(dumps(g), encoding="utf-8")
+    text = dumps(g)  # raises before the file is opened
+    Path(path).write_text(text, encoding="utf-8")

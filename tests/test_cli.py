@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from gadgets import crossing_gadget, squeezed_gadget
@@ -18,7 +18,14 @@ import oneplane
 from oneplane import cli, graphio
 from oneplane.audit import audit
 from oneplane.cli import main
-from oneplane.generators import catalog, catalog_names
+from oneplane.generators import (
+    GenerationFailed,
+    GeneratorParams,
+    catalog,
+    catalog_names,
+    random_oneplane,
+)
+from oneplane.lightedge import BOUNDS, check_light_edge_guarantee
 from oneplane.oneplanar import build_drawing, validate
 from test_audit import tampered_run
 
@@ -113,6 +120,80 @@ def test_hypothesis_unmet_exit_code(tmp_path, capsys):
     graphio.save(g, path)
     assert main(["light-edges", str(path)]) == 2
     assert "hypothesis-unmet" in capsys.readouterr().out
+
+
+def _pendant_k4():
+    """K4 with a degree-1 vertex 4 hung on vertex 0: its (3,4) edges are
+    light, but the hypothesis is unmet."""
+    return build_drawing({0: [1, 2, 3, 4], 1: [0, 3, 2], 2: [0, 1, 3], 3: [0, 2, 1], 4: [0]})
+
+
+# status -> (drawing, bound table); a lowered table reaches the candidate
+# status as in test_lightedge.test_lowered_table_gives_candidate
+STATUS_CASES = {
+    "witness-found": (catalog("k5-one-crossing"), BOUNDS),
+    "hypothesis-unmet": (_pendant_k4(), BOUNDS),
+    "counterexample-candidate": (catalog("cube-plus-diagonals"), {**BOUNDS, 6: 5}),
+}
+# a double quote, a backslash, a space and non-ASCII characters
+_AWKWARD = 'a "b\\ é€😀'
+
+
+def _expected_light_edges_json(path: str, verdict) -> str:
+    """The light-edges report, rendered by the standard library's encoder."""
+
+    def record(w):
+        return {"edge": list(w.edge), "degrees": list(w.degrees), "type": w.light_type}
+
+    report = {
+        "command": "light-edges",
+        "input": path,
+        "profile": "thm12",
+        "status": verdict.status,
+        "min_degree": verdict.min_degree,
+        "witness": record(verdict.witness) if verdict.witness else None,
+        "light_edges": [record(w) for w in verdict.light_edges],
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _light_edges_json_matches(g, bounds, path, capsys, monkeypatch) -> str:
+    graphio.save(g, path)
+    monkeypatch.setattr(
+        cli, "check_light_edge_guarantee", lambda g: check_light_edge_guarantee(g, bounds)
+    )
+    main(["light-edges", str(path), "--format", "json"])
+    out = capsys.readouterr().out
+    verdict = check_light_edge_guarantee(g, bounds)
+    assert out == _expected_light_edges_json(str(path), verdict)
+    return verdict.status
+
+
+@pytest.mark.parametrize("status", STATUS_CASES)
+@given(st.text(alphabet='x "\\é€😀', max_size=8))
+@settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_light_edges_json_equals_json_dumps_for_each_status(
+    tmp_path, capsys, monkeypatch, status, name
+):
+    g, bounds = STATUS_CASES[status]
+    path = tmp_path / f"{_AWKWARD}{name}.json"
+    assert _light_edges_json_matches(g, bounds, path, capsys, monkeypatch) == status
+
+
+@given(st.integers(0, 10_000), st.integers(4, 60), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_light_edges_json_equals_json_dumps_on_generated_drawings(
+    tmp_path, capsys, monkeypatch, seed, size, density
+):
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    _light_edges_json_matches(g, BOUNDS, tmp_path / f"{_AWKWARD}.json", capsys, monkeypatch)
 
 
 def test_audit_command_passes_on_valid_input(k5_file, capsys):

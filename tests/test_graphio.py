@@ -19,6 +19,8 @@ from oneplane.generators import (
     catalog_names,
     random_oneplane,
 )
+from oneplane.oneplanar import build_drawing
+from test_embedding import turned_wheel
 
 
 def test_round_trip_is_identity_on_catalog():
@@ -64,6 +66,64 @@ def test_save_and_load(tmp_path):
     graphio.save(g, path)
     again = graphio.load(path)
     assert graphio.dumps(again) == graphio.dumps(g)
+
+
+def json_dumps(g) -> str:
+    """The drawing's document through the standard library's encoder."""
+    rot = g.embedding.rotation
+    doc = {
+        "vertices": [{"id": v, "false": v in g.false_vertices} for v in g.embedding.vertices],
+        "rotation": {str(v): list(rot[v]) for v in g.embedding.vertices},
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_dumps_equals_json_dumps_on_catalog(name):
+    g = catalog(name)
+    assert graphio.dumps(g) == json_dumps(g)
+
+
+@given(st.integers(0, 10_000), st.integers(4, 60), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_dumps_equals_json_dumps_on_generated_drawings(seed, size, density):
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    assert graphio.dumps(g) == json_dumps(g)
+
+
+def test_dumps_equals_json_dumps_on_a_wheel():
+    g = build_drawing(turned_wheel(300, seed=300))
+    assert graphio.dumps(g) == json_dumps(g)
+
+
+def _relabelled_k4(label, neighbor=None):
+    rotation = catalog("k4").embedding.rotation
+    neighbor = neighbor or label
+    return build_drawing({label(v): [neighbor(u) for u in r] for v, r in rotation.items()})
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _relabelled_k4(lambda v: v + 10),
+        _relabelled_k4(lambda v: v - 1),
+        _relabelled_k4(lambda v: bool(v) if v < 2 else v, neighbor=int),
+        _relabelled_k4(int, neighbor=lambda v: bool(v) if v < 2 else v),
+    ],
+    ids=["shifted", "negative", "bool-ids", "bool-neighbor"],
+)
+def test_dumps_refuses_what_load_would_reject(g, tmp_path):
+    with pytest.raises(graphio.GraphFormatError):
+        graphio.loads(json_dumps(g))
+    with pytest.raises(ValueError, match="can be written"):
+        graphio.dumps(g)
+    path = tmp_path / "g.json"
+    with pytest.raises(ValueError, match="can be written"):
+        graphio.save(g, path)
+    assert not path.exists()
 
 
 def test_invalid_json_reports_byte_offset():
