@@ -39,9 +39,12 @@ charges are possible on ordinary inputs and are merely reported.
 The audit collects the amounts of each group (a face's heavy income and
 routed outflow, a (face, routing vertex) pair's outflow, a transitive
 corner's income and a (face, vertex) payment) and sums each group once,
-so every reported value is exact. Most groups are empty or hold one
-amount, which is read directly; longer groups are summed with
-`discharging.exact_sum`. Values are the engine's `Fraction`s, one per
+so every reported value is exact. Payments are summed only for the
+(face, vertex) pairs a payment gate owes: the face pass decides each
+gate from degrees and records what it owes, and one pass over the R7
+and R8 transfers to vertices then collects the owed pairs' amounts.
+Most groups are empty or hold one amount, which is read directly;
+longer groups are summed with `discharging.exact_sum`. Values are the engine's `Fraction`s, one per
 distinct value within a run, and signs are read from their integer
 numerators. The face flows and every face-indexed gate come from one
 pass over the faces.
@@ -143,7 +146,7 @@ def audit(
     received_heavy: defaultdict[int, list[Fraction]] = defaultdict(list)
     sent_via: defaultdict[int, list[Fraction]] = defaultdict(list)
     routed: defaultdict[tuple[int, int], list[Fraction]] = defaultdict(list)
-    paid: defaultdict[tuple[int, int], list[Fraction]] = defaultdict(list)  # (face, vertex), R7+R8
+    payments: list[Transfer] = []  # R7 and R8, to vertices
     for t in transfers:
         rule = t.rule
         if rule == "R5":
@@ -154,9 +157,9 @@ def audit(
             sent_via[f].append(t.amount)
             routed[f, t.via].append(t.amount)
         elif rule in ("R7", "R8") and t.target[0] == "v":
-            paid[t.source[1], t.target[1]].append(t.amount)
+            payments.append(t)
 
-    face_flow, face_checks = _face_pass(g, received_heavy, sent_via, paid)
+    face_flow, face_checks = _face_pass(g, received_heavy, sent_via, payments)
 
     # pi+, per (face, routing vertex), over its transitive corners; the
     # R5 amount (d-4)/d is built once per degree
@@ -202,10 +205,12 @@ def _face_pass(
     g: AssociatedPlaneGraph,
     received_heavy: dict[int, list[Fraction]],
     sent_via: dict[int, list[Fraction]],
-    paid: dict[tuple[int, int], list[Fraction]],
+    payments: list[Transfer],
 ) -> tuple[dict[int, FaceFlow], list[CheckOutcome]]:
     """The face flows and the five face-indexed gates, in report order,
-    from one pass over the faces."""
+    from one pass over the faces. The pass decides each payment gate from
+    degrees alone and records what it owes; the `payments` are then
+    summed for the owed (face, vertex) pairs only."""
     emb = g.embedding
     deg = emb.degrees
     false = g.false_vertices
@@ -219,14 +224,13 @@ def _face_pass(
     instances = dict.fromkeys(names, 0)
     failures: dict[str, list[str]] = {name: [] for name in names}
 
+    owed: list[tuple[str, int, int, Fraction]] = []  # (gate, face, vertex, floor)
+
     def pays(name: str, i: int, due, floor: Fraction) -> None:
-        """One instance of gate `name`: face i pays each vertex of `due`
+        """One instance of gate `name`: face i owes each vertex of `due`
         at least `floor`."""
         instances[name] += 1
-        for v in dict.fromkeys(due):
-            got = _group_sum(paid.get((i, v), ()))
-            if got < floor:
-                failures[name].append(f"f{i} paid v{v} {got}, needs {floor}")
+        owed.extend((name, i, v, floor) for v in dict.fromkeys(due))
 
     face_flow: dict[int, FaceFlow] = {}
     for i, d in enumerate(emb.face_degrees):
@@ -271,5 +275,16 @@ def _face_pass(
             quads = [t for t in tails if t not in false and deg[t] == 4]
             if quads and sum(1 for t in tails if deg[t] == 3) + len(quads) <= d // 2:
                 pays("big-face-payments", i, quads, ONE_THIRD)
+
+    paid: dict[tuple[int, int], list[Fraction]] = {(i, v): [] for _, i, v, _ in owed}
+    if paid:
+        for t in payments:
+            amounts = paid.get((t.source[1], t.target[1]))
+            if amounts is not None:
+                amounts.append(t.amount)
+    for name, i, v, floor in owed:
+        got = _group_sum(paid[i, v])
+        if got < floor:
+            failures[name].append(f"f{i} paid v{v} {got}, needs {floor}")
 
     return face_flow, [CheckOutcome(n, instances[n], tuple(failures[n])) for n in names]

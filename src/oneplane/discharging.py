@@ -77,6 +77,10 @@ are taken with `exact_sum`, which adds integer numerators per
 denominator and builds one `Fraction` per distinct denominator.
 `ledger_lines` renders each distinct amount object's text once and sorts
 with a C-level key.
+
+A run builds one element tuple per vertex and one per face. Every
+transfer's source and target and every key of the final charges is one
+of these objects, so a ledger holds no per-transfer copy of an element.
 """
 
 from __future__ import annotations
@@ -255,7 +259,12 @@ def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int
     return out
 
 
-def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Transfer]:
+def _phase_a(
+    g: AssociatedPlaneGraph,
+    specials: list[SpecialFace],
+    at_vertex: dict[int, Element],
+    at_face: list[Element],
+) -> list[Transfer]:
     emb = g.embedding
     deg = emb.degrees
     fdeg = emb.face_degrees
@@ -265,13 +274,13 @@ def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Trans
 
     for s in specials:
         if s.k == 4:
-            transfers.append(Transfer("R1", vertex(s.pivot), face(s.face), R1_AMOUNT))
+            transfers.append(Transfer("R1", at_vertex[s.pivot], at_face[s.face], R1_AMOUNT))
 
     for v in emb.vertices:
         if v in false:
             continue
         d = deg[v]
-        src = vertex(v)
+        src = at_vertex[v]
         if d == 5 or d == 6:
             # a 3-face occupies exactly one corner of each of its
             # vertices, so no dedup is needed
@@ -279,22 +288,27 @@ def _phase_a(g: AssociatedPlaneGraph, specials: list[SpecialFace]) -> list[Trans
             for f in emb.corner_faces(v):
                 if fdeg[f] == 3:
                     amt = special_amt if (v, f) in pivot_keys else plain_amt
-                    transfers.append(Transfer(rule, src, face(f), amt))
+                    transfers.append(Transfer(rule, src, at_face[f], amt))
         elif d == 7:
             for f in emb.corner_faces(v):
                 if is_false_triangle(g, f):
-                    transfers.append(Transfer("R4", src, face(f), R4_AMOUNT))
+                    transfers.append(Transfer("R4", src, at_face[f], R4_AMOUNT))
         elif d >= 8:
             amt = Fraction(d - 4, d)
             for f in emb.corner_faces(v):
-                transfers.append(Transfer("R5", src, face(f), amt))
+                transfers.append(Transfer("R5", src, at_face[f], amt))
 
     for hood in crossing_neighborhoods(g):
-        transfers.extend(_route_through_crossing(g, hood))
+        transfers.extend(_route_through_crossing(g, hood, at_vertex, at_face))
     return transfers
 
 
-def _route_through_crossing(g: AssociatedPlaneGraph, hood: CrossingNeighborhood) -> list[Transfer]:
+def _route_through_crossing(
+    g: AssociatedPlaneGraph,
+    hood: CrossingNeighborhood,
+    at_vertex: dict[int, Element],
+    at_face: list[Element],
+) -> list[Transfer]:
     """R6 transfers for every sending corner of one false vertex."""
     deg = g.embedding.degrees
     corners = hood.corners()
@@ -306,18 +320,19 @@ def _route_through_crossing(g: AssociatedPlaneGraph, hood: CrossingNeighborhood)
                 break
         else:
             continue
-        src = face(f1)
-        beyond_a = face(corners[(i + 1) % 4][4])  # corner face past far_a
-        beyond_b = face(corners[(i - 1) % 4][4])  # corner face past far_b
+        src = at_face[f1]
+        beyond_a = at_face[corners[(i + 1) % 4][4]]  # corner face past far_a
+        beyond_b = at_face[corners[(i - 1) % 4][4]]  # corner face past far_b
         da, db = deg[far_a], deg[far_b]
 
         if rule == "R6.1":
             if da == 3 and db == 3:
-                targets, amt = (beyond_a, beyond_b, vertex(far_a), vertex(far_b)), amounts[0]
+                targets = (beyond_a, beyond_b, at_vertex[far_a], at_vertex[far_b])
+                amt = amounts[0]
             elif da == 3:
-                targets, amt = (beyond_a, vertex(far_a)), amounts[1]
+                targets, amt = (beyond_a, at_vertex[far_a]), amounts[1]
             elif db == 3:
-                targets, amt = (beyond_b, vertex(far_b)), amounts[1]
+                targets, amt = (beyond_b, at_vertex[far_b]), amounts[1]
             else:
                 continue
         elif da > 6 and db > 6:
@@ -372,9 +387,14 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     fdeg = emb.face_degrees
     false = g.false_vertices
     charges = {el: [k, 1] for el, k in _initial_excess(g).items()}
+    # the run's one element tuple per vertex and per face, shared by its
+    # transfers and its charges: the charge keys, vertices first
+    elements = list(charges)
+    at_vertex = dict(zip(emb.vertices, elements))
+    at_face = elements[len(at_vertex):]
     memo: dict[tuple[int, int], Fraction] = {}
 
-    transfers = _phase_a(g, find_special_faces(g))
+    transfers = _phase_a(g, find_special_faces(g), at_vertex, at_face)
     _apply(charges, transfers)
 
     # R7 and R8 in one pass over the faces; see the module docstring
@@ -382,7 +402,7 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     r8: list[Transfer] = []
     for i, d in enumerate(fdeg):
         tails = emb.face_tails(i)
-        src = face(i)
+        src = at_face[i]
         n, den = charges[src]
         if d <= 4:
             rule, out = "R7", r7
@@ -390,13 +410,13 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
         else:
             rule, out = "R8", r8
             prepaid = [t for t in tails if deg[t] == 3]
-            r8.extend(Transfer("R8", src, vertex(t), R8_PREPAY) for t in prepaid)
+            r8.extend(Transfer("R8", src, at_vertex[t], R8_PREPAY) for t in prepaid)
             pay = R8_PREPAY.numerator * len(prepaid)
             n, den = n * R8_PREPAY.denominator - pay * den, den * R8_PREPAY.denominator
             takers = [t for t in tails if t not in false and deg[t] == 4]
         if takers and n != 0:
             share = _exact(memo, n, den * len(takers))
-            out.extend(Transfer(rule, src, vertex(t), share) for t in takers)
+            out.extend(Transfer(rule, src, at_vertex[t], share) for t in takers)
     late = r7 + r8
     _apply(charges, late)
     transfers.extend(late)

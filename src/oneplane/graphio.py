@@ -19,6 +19,12 @@ set of their value types, the id range, the key set). Only when such a
 test fails does the entry-by-entry scan run, to name the first bad
 entry with the message and offset it would have given alone.
 
+Repeated keys are found the same way, by a whole-document count: a
+plain parse is kept when the text's ":" count equals the pairs of the
+top-level object, the vertex entries and the rotation object. Only on a
+mismatch or a parse error does the parse run again with a hook that
+tests every object, and its error is the one reported.
+
 `dumps` writes those two lists, the vertex entries and the rotation
 rows, through one fixed template per entry. Its text is that of
 `json.dumps(doc, indent=2)` plus a newline, byte for byte; tests and CI
@@ -58,10 +64,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def loads(text: str) -> AssociatedPlaneGraph:
-    """Parse the graph JSON document and build the embedded drawing."""
+def _hook_parse(text: str):
+    """The JSON document, parsed with a hook that rejects a repeated key
+    in any object; every parse error becomes a GraphFormatError."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except GraphFormatError:
         raise
     except json.JSONDecodeError as err:
@@ -70,6 +77,43 @@ def loads(text: str) -> AssociatedPlaneGraph:
     except (RecursionError, ValueError) as err:  # nesting too deep, integer too long
         raise GraphFormatError(f"unreadable JSON: {err}") from None
 
+
+def _pair_count(doc: dict) -> int:
+    """The pairs of the top-level object, of the vertex entries and of
+    the rotation object; vertex entries count only when all are objects."""
+    count = len(doc)
+    vertices = doc.get("vertices")
+    if type(vertices) is list and set(map(type, vertices)) <= {dict}:
+        count += sum(map(len, vertices))
+    rotation = doc.get("rotation")
+    if type(rotation) is dict:
+        count += len(rotation)
+    return count
+
+
+def _parse(text: str):
+    """`_hook_parse(text)`, from a plain parse where the text allows.
+
+    Every pair in the text holds a ":", and a repeated key drops a pair,
+    so the colons are at least the pairs in the text, which are at least
+    the pairs kept, which are at least the pairs `_pair_count` counts.
+    When the colons equal that count, no key repeats and the plain parse
+    is the hook's document. Otherwise, and on any parse error, the hook
+    parse runs, so every error and byte offset is the hook's.
+    """
+    try:
+        doc = json.loads(text)
+    except (RecursionError, ValueError):
+        pass  # `_hook_parse` names the error
+    else:
+        if type(doc) is dict and _pair_count(doc) == text.count(":"):
+            return doc
+    return _hook_parse(text)
+
+
+def loads(text: str) -> AssociatedPlaneGraph:
+    """Parse the graph JSON document and build the embedded drawing."""
+    doc = _parse(text)
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level value must be an object")
     for key in ("vertices", "rotation"):

@@ -14,6 +14,12 @@ neighbors pair up opposite positions, so a crossing with rotation
 follows each such segment through any further false vertices it meets,
 defensively, even though adjacent false vertices are themselves a
 validation violation.
+
+`validate` does work in proportion to the crossings: it walks the
+crossing segments alone, derived once per drawing, and tests each
+against the embedding's darts and the earlier segments. The recovered
+edge list, the direct edges between true vertices plus the segments, is
+built on the first `recover_original`.
 """
 
 from __future__ import annotations
@@ -50,8 +56,9 @@ class AssociatedPlaneGraph:
         return tuple(sorted(self.false_vertices))
 
     @cached_property
-    def _straightened(self) -> tuple[frozenset[tuple[int, int]], tuple[Violation, ...]]:
-        """Derived once per drawing, on first use, for `validate` and
+    def _straightened(self) -> tuple[tuple[tuple[int, int], ...], tuple[Violation, ...]]:
+        """The crossing segments and the straightening violations,
+        derived once per drawing, on first use, for `validate` and
         `recover_original`."""
         return _straighten(self)
 
@@ -74,13 +81,18 @@ class AssociatedPlaneGraph:
     def _original(self) -> OriginalGraphView:
         """Derived once per drawing, on first use, for `recover_original`.
         An invalid drawing caches nothing and raises on every access."""
-        edges, problems = self._straightened
+        segments, problems = self._straightened
         if problems:
             raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
-        vertices = tuple(v for v in self.embedding.vertices if v not in self.false_vertices)
+        rot, false = self.embedding.rotation, self.false_vertices
+        vertices = tuple(v for v in self.embedding.vertices if v not in false)
+        # the direct edges between true vertices come nearly in order
+        edges = [(u, v) for u in vertices for v in rot[u] if u < v and v not in false]
+        edges += segments
+        edges.sort()
         degrees = dict.fromkeys(vertices, 0)
         degrees.update(Counter(chain.from_iterable(edges)))
-        return OriginalGraphView(vertices=vertices, edges=tuple(sorted(edges)), degrees=degrees)
+        return OriginalGraphView(vertices=vertices, edges=tuple(edges), degrees=degrees)
 
 
 def build_drawing(
@@ -158,32 +170,27 @@ def _follow_segment(g: AssociatedPlaneGraph, start: int, toward: int) -> tuple[i
 
 def _straighten(
     g: AssociatedPlaneGraph,
-) -> tuple[frozenset[tuple[int, int]], tuple[Violation, ...]]:
-    """The recovered edges, as ordered pairs, and the violations
-    straightening finds.
+) -> tuple[tuple[tuple[int, int], ...], tuple[Violation, ...]]:
+    """The crossing segments, as ordered pairs in segment order, and the
+    violations straightening finds.
 
-    Each direct edge or crossing segment is one original-edge instance,
-    an ordered pair; equal endpoints make a loop and a repeated pair a
-    multi-edge. The instances are tested as one set; only a loop or a
-    repeat runs the per-instance scan that names each violation. Segment
-    walks that cycle through false vertices are violations and produce no
-    instance; so do, unreported, walks that meet a false vertex of degree
-    other than 4, which validate() flags on its own.
+    Only the crossings are walked; the direct edges are read from the
+    embedding's dart table. A segment with equal endpoints is a loop,
+    and one whose pair is a direct edge or an earlier segment is a
+    multi-edge: direct edges never repeat one another, because
+    `build_embedding` rejects repeated neighbors. Segment walks that
+    cycle through false vertices are violations and produce no segment;
+    so do, unreported, walks that meet a false vertex of degree other
+    than 4, which validate() flags on its own. The cycles are reported
+    first, then the loops and multi-edges, each in segment order.
     """
     rot = g.embedding.rotation
-    false = g.false_vertices
+    darts = g.embedding.face_of
     problems: list[Violation] = []
-
-    instances: list[tuple[int, int]] = [
-        (u, v)
-        for u in g.embedding.vertices
-        if u not in false
-        for v in rot[u]
-        if u < v and v not in false
-    ]
-
+    named: list[Violation] = []  # loops and multi-edges
     segments: list[tuple[int, int]] = []
     seen_paths: set[tuple[int, ...]] = set()
+    seen_pairs: set[tuple[int, int]] = set()
     for f in g.sorted_false_vertices:
         if len(rot[f]) != 4:
             continue  # reported separately by validate()
@@ -203,22 +210,15 @@ def _straighten(
                 continue  # same segment discovered from another false vertex on it
             seen_paths.add(key)
             a, b = path[0], path[-1]
-            segments.append((a, b) if a < b else (b, a))
-    instances += segments
-
-    recovered = frozenset(instances)
-    if len(recovered) == len(instances) and all(a != b for a, b in segments):
-        return recovered, tuple(problems)
-    # name each loop and repeated instance, in instance order
-    edges: set[tuple[int, int]] = set()
-    for a, b in instances:
-        if a == b:
-            problems.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
-            continue
-        if (a, b) in edges:
-            problems.append(Violation(RECOVERED_MULTI_EDGE, (a, b), "recovered edge appears twice"))
-        edges.add((a, b))
-    return frozenset(edges), tuple(problems)
+            pair = (a, b) if a < b else (b, a)
+            segments.append(pair)
+            if a == b:
+                named.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
+            elif pair in darts or pair in seen_pairs:
+                named.append(Violation(RECOVERED_MULTI_EDGE, pair, "recovered edge appears twice"))
+            else:
+                seen_pairs.add(pair)
+    return tuple(segments), tuple(problems + named)
 
 
 def validate(g: AssociatedPlaneGraph) -> ValidationReport:

@@ -555,3 +555,15 @@ def test_relabelling_commutes_with_every_output(seed, size, density, rng):
     assert sorted((mapped(el), q) for el, q in report.negative_elements) == list(
         report_h.negative_elements
     )
+
+
+def test_transfers_share_the_runs_element_tuples(corpus_runs):
+    """A run builds one element tuple per vertex and per face: every
+    transfer's source and target is the key object of that element in
+    the final charges, on the corpus and on the gadgets."""
+    runs = list(corpus_runs)
+    for i, g in enumerate(R6_SAMPLES + _gadget_drawings()):
+        runs.append((f"gadget:{i}", g, *apply_discharging(g)))
+    for name, g, final, transfers in runs:
+        key = {el: el for el in final.charges}
+        assert all(key[t.source] is t.source and key[t.target] is t.target for t in transfers), name

@@ -151,6 +151,16 @@ def test_corpus_degree_tables_match_rotation_and_walks(corpus):
         ({0: [], 1: []}, "rotation system has no edges"),
         ({0: [2, 3, 4], 1: [0, 2, 3, 4], 2: [0, 1, 3, 4], 3: [0, 1, 2, 4], 4: [0, 1, 2, 3]},
          "edge 1-0 is not symmetric"),
+        # a bool equals 0 or 1 but is not a vertex id: K4 with a bool
+        # neighbor, and K4 keyed False, True, 2, 3
+        ({0: [True, 2, 3], 1: [0, 3, 2], 2: [0, 1, 3], 3: [0, 2, 1]},
+         "vertex 0 lists neighbor True, a bool, not an integer"),
+        ({False: [True, 3, 2], True: [2, 3, False], 2: [False, 3, True], 3: [2, False, True]},
+         "vertex id False is a bool, not an integer"),
+        # at its vertex, before the loop, unknown-neighbor and repeat
+        # checks; after every check of an earlier vertex
+        ({0: [0, 7, 1, 1, True], 1: [0]}, "vertex 0 lists neighbor True, a bool, not an integer"),
+        ({0: [7], 2: [True], 1: [0]}, "vertex 0 lists unknown neighbor 7"),
     ],
 )
 def test_malformed_rotation_messages_and_first_error(rotation, message):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import json
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings
@@ -19,7 +21,7 @@ from oneplane.generators import (
     catalog_names,
     random_oneplane,
 )
-from oneplane.oneplanar import build_drawing
+from oneplane.oneplanar import AssociatedPlaneGraph, build_drawing
 from test_embedding import turned_wheel
 
 
@@ -100,9 +102,15 @@ def test_dumps_equals_json_dumps_on_a_wheel():
 
 
 def _relabelled_k4(label, neighbor=None):
-    rotation = catalog("k4").embedding.rotation
+    """K4 relabelled. `build_embedding` rejects bool ids and neighbors,
+    so a relabelling equal to K4's own (ints to bools) is given K4's
+    faces directly."""
+    emb = catalog("k4").embedding
     neighbor = neighbor or label
-    return build_drawing({label(v): [neighbor(u) for u in r] for v, r in rotation.items()})
+    rotation = {label(v): tuple(neighbor(u) for u in r) for v, r in emb.rotation.items()}
+    if rotation == emb.rotation:
+        return AssociatedPlaneGraph(replace(emb, rotation=rotation), frozenset())
+    return build_drawing(rotation)
 
 
 @pytest.mark.parametrize(
@@ -537,3 +545,74 @@ def test_loads_agrees_with_per_item_scans(data):
     if data.draw(st.integers(0, 9)) == 0:
         text = text[: data.draw(st.integers(0, len(text) - 1))]
     assert outcome(_loaded, text) == outcome(scan_load, text)
+
+
+def _hook_loaded(text):
+    """`_loaded` with every document parsed through the duplicate-key
+    hook, as `loads` parsed before it counted pairs."""
+    with mock.patch.object(graphio, "_parse", graphio._hook_parse):
+        return _loaded(text)
+
+
+CYCLE = _cycle_doc(CANONICAL_KEYS)
+
+
+def _cut_after_first_entry(text):
+    return text[: text.index("}") + 2]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # ":" in a key: more colons than pairs counted, and no repeat
+        (CYCLE.replace("{", '{"a:b": 1, ', 1), None),
+        # a repeat inside an object the count does not reach
+        (CYCLE.replace("{", '{"x": {"a": 1, "a": 2}, ', 1), "duplicate key 'a'"),
+        # a repeat before a syntax error is reported as the repeat
+        (_cut_after_first_entry(CYCLE.replace('"id": 0,', '"id": 0, "id": 1,', 1)),
+         "duplicate key 'id'"),
+        (_cut_after_first_entry(CYCLE), "invalid JSON at byte 40: Expecting value"),
+        # a vertex entry short of a pair does not hide a repeated rotation key
+        (_cycle_doc(CANONICAL_KEYS + ["0"]).replace(', "false": false}', "}", 1),
+         "duplicate key '0'"),
+    ],
+)
+def test_pair_count_falls_back_to_the_hook_parse(text, message):
+    if message is None:
+        assert graphio.loads(text).embedding.vertex_count() == 11
+    else:
+        with pytest.raises(graphio.GraphFormatError) as err:
+            graphio.loads(text)
+        assert str(err.value) == message
+    assert outcome(_loaded, text) == outcome(_hook_loaded, text)
+
+
+# (key, value) of a spliced pair
+SPLICED = st.tuples(
+    st.sampled_from(["vertices", "rotation", "id", "false", "0", "1", "a:b", "x"]),
+    st.sampled_from(["0", "false", "[]", "{}", '{"a": 1, "a": 2}', '{"b:c": {"d": 1}}', "[1, 2]"]),
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_loads_agrees_with_the_hook_parse(data):
+    """At most one schema fault in a drawing's document, then one or two
+    pairs spliced into any of its objects (a repeated key at each level,
+    ":" in a key, a nested extra object), the text then cut short now and
+    then: `loads` accepts exactly when a loader that always parses with
+    the duplicate-key hook does, and otherwise raises the same error."""
+    doc = json.loads(_sample_doc(data.draw(st.integers(0, len(catalog_names()) + 7))))
+    for fault in data.draw(st.lists(st.sampled_from(FAULTS), max_size=1)):
+        fault(doc, data)
+    text = json.dumps(doc)
+    for _ in range(data.draw(st.integers(1, 2))):
+        opens = [i for i, c in enumerate(text) if c == "{"]
+        at = opens[_pick(data, opens)] + 1
+        key, value = data.draw(SPLICED)
+        pair = f'"{key}": {value}'
+        end = at + len(pair)
+        text = text[:at] + pair + ("" if text[at:].lstrip().startswith("}") else ", ") + text[at:]
+    if data.draw(st.integers(0, 4)) == 0:
+        text = text[: data.draw(st.integers(end, len(text) - 1))]  # a syntax error after the splice
+    assert outcome(_loaded, text) == outcome(_hook_loaded, text)

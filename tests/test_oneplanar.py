@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gadgets import (
@@ -13,7 +13,13 @@ from gadgets import (
     squeezed_gadget,
 )
 from oneplane.embedding import build_embedding
-from oneplane.generators import GeneratorParams, catalog, random_oneplane
+from oneplane.generators import (
+    GenerationFailed,
+    GeneratorParams,
+    catalog,
+    catalog_names,
+    random_oneplane,
+)
 from oneplane.graphio import dumps
 from oneplane.oneplanar import (
     ADJACENT_FALSE,
@@ -29,6 +35,8 @@ from oneplane.oneplanar import (
     RecoveredLoop,
     RecoveredMultiEdge,
     ValidationReport,
+    Violation,
+    _follow_segment,
     build_drawing,
     crossing_neighborhoods,
     drawing_diagnostics,
@@ -37,6 +45,41 @@ from oneplane.oneplanar import (
 )
 
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
+
+# Hand-built invalid drawings: (rotation, false vertices).
+# vertex 2 is the crossing of edges 0-1 and 3-4, but 0-1 also exists
+CROSSING_BESIDE_DIRECT_EDGE = ({0: [1, 2], 1: [2, 0], 2: [0, 3, 1, 4], 3: [2], 4: [2]}, {2})
+# crossing 3 straightens along 0-3-4-0; 3 and 4 are adjacent crossings
+FALSE_CHAIN_LOOP = (
+    {0: [3, 4], 1: [3], 2: [3], 3: [0, 1, 4, 2], 4: [3, 5, 0, 6], 5: [4], 6: [4]},
+    {3, 4},
+)
+# crossing 2 of 0-1 and 3-4 beside the direct edge 0-1 (its segment runs
+# 1-2-0), joined by the edge 3-10 to crossings 8 and 9, whose segment
+# 5-8-9-5 is a loop
+LOOP_AND_MULTI_EDGE = (
+    {
+        0: [1, 2], 1: [2, 0], 2: [1, 3, 0, 4], 3: [2, 10], 4: [2],
+        5: [8, 9], 6: [8], 7: [8], 8: [5, 6, 9, 7], 9: [8, 10, 5, 11], 10: [9, 3], 11: [9],
+    },
+    {2, 8, 9},
+)
+# the crossing segments of 0, 1 and 2 run into each other in a cycle
+FALSE_VERTEX_CYCLE = (
+    {0: (2, 4, 1, 3), 1: (0, 4, 2, 3), 2: (1, 4, 0, 3), 3: (0, 1, 2), 4: (0, 2, 1)},
+    {0, 1, 2},
+)
+# the first two, the cycle shifted to 10-14, joined by the bridge 3-13:
+# the multi-edge's segment comes first, the cycle is reported first
+CYCLE_BESIDE_MULTI_EDGE = (
+    {
+        **CROSSING_BESIDE_DIRECT_EDGE[0],
+        3: [2, 13],
+        **{v + 10: [u + 10 for u in r] for v, r in FALSE_VERTEX_CYCLE[0].items()},
+        13: [10, 11, 12, 3],
+    },
+    {2, 10, 11, 12},
+)
 
 
 @pytest.mark.parametrize("seq", [list, tuple])
@@ -138,18 +181,14 @@ def test_coincident_recovered_edges_raise():
 
 
 def test_crossing_parallel_to_direct_edge_is_a_multi_edge():
-    # vertex 2 is the crossing of edges 0-1 and 3-4, but 0-1 also exists
-    rot = {0: [1, 2], 1: [2, 0], 2: [0, 3, 1, 4], 3: [2], 4: [2]}
-    g = build_drawing(rot, {2})
+    g = build_drawing(*CROSSING_BESIDE_DIRECT_EDGE)
     assert RECOVERED_MULTI_EDGE in validate(g).kinds()
     with pytest.raises(RecoveredMultiEdge):
         recover_original(g)
 
 
 def test_false_chain_straightening_to_a_loop():
-    # crossing 3 straightens along 0-3-4-0; 3 and 4 are adjacent crossings
-    rot = {0: [3, 4], 1: [3], 2: [3], 3: [0, 1, 4, 2], 4: [3, 5, 0, 6], 5: [4], 6: [4]}
-    g = build_drawing(rot, {3, 4})
+    g = build_drawing(*FALSE_CHAIN_LOOP)
     kinds = validate(g).kinds()
     assert ADJACENT_FALSE in kinds
     assert RECOVERED_LOOP in kinds
@@ -158,14 +197,7 @@ def test_false_chain_straightening_to_a_loop():
 
 
 def test_straightening_loop_and_multi_edge_reported_in_instance_order():
-    # crossing 2 of 0-1 and 3-4 beside the direct edge 0-1 (its segment
-    # runs 1-2-0), joined by the edge 3-10 to crossings 8 and 9, whose
-    # segment 5-8-9-5 is a loop
-    rot = {
-        0: [1, 2], 1: [2, 0], 2: [1, 3, 0, 4], 3: [2, 10], 4: [2],
-        5: [8, 9], 6: [8], 7: [8], 8: [5, 6, 9, 7], 9: [8, 10, 5, 11], 10: [9, 3], 11: [9],
-    }
-    g = build_drawing(rot, {2, 8, 9})
+    g = build_drawing(*LOOP_AND_MULTI_EDGE)
     assert [str(v) for v in validate(g).violations] == [
         "adjacent-false-vertices [8, 9]: false vertices are adjacent",
         "recovered-multi-edge [0, 1]: recovered edge appears twice",
@@ -176,11 +208,7 @@ def test_straightening_loop_and_multi_edge_reported_in_instance_order():
 
 
 def test_false_vertex_cycle_is_a_plain_value_error():
-    # the crossing segments of 0, 1 and 2 run into each other in a cycle
-    g = build_drawing(
-        {0: (2, 4, 1, 3), 1: (0, 4, 2, 3), 2: (1, 4, 0, 3), 3: (0, 1, 2), 4: (0, 2, 1)},
-        {0, 1, 2},
-    )
+    g = build_drawing(*FALSE_VERTEX_CYCLE)
     assert FALSE_CYCLE in validate(g).kinds()
     with pytest.raises(ValueError, match=FALSE_CYCLE) as err:
         recover_original(g)
@@ -285,3 +313,119 @@ def test_crossing_gadget_validates():
 def test_diagnostics_and_validation_share_one_report_type():
     for g in (catalog("k5-one-crossing"), squeezed_gadget()):
         assert type(validate(g)) is type(drawing_diagnostics(g)) is ValidationReport
+
+
+def reference_straighten(g: AssociatedPlaneGraph) -> tuple[set[tuple[int, int]], list[Violation]]:
+    """Straightening instance by instance, as it was done before only the
+    crossings were walked: every direct edge between true vertices and
+    every crossing segment is one ordered pair, and each loop and
+    repeated pair is named in that order, after the cycles. The reference
+    for `validate` and `recover_original`; returns (edges, violations)."""
+    rot = g.embedding.rotation
+    false = g.false_vertices
+    problems: list[Violation] = []
+    instances = [
+        (u, v)
+        for u in g.embedding.vertices
+        if u not in false
+        for v in rot[u]
+        if u < v and v not in false
+    ]
+    seen_paths: set[tuple[int, ...]] = set()
+    for f in sorted(false):
+        if len(rot[f]) != 4:
+            continue
+        for axis in (0, 1):
+            half_a = _follow_segment(g, f, rot[f][axis])
+            half_b = _follow_segment(g, f, rot[f][axis + 2])
+            if half_a is None or half_b is None:
+                problems.append(
+                    Violation(FALSE_CYCLE, (f,), "crossing segment cycles through false vertices")
+                )
+                continue
+            if not half_a or not half_b:
+                continue
+            path = tuple(reversed(half_a)) + half_b[1:]
+            key = min(path, path[::-1])
+            if key in seen_paths:
+                continue
+            seen_paths.add(key)
+            a, b = path[0], path[-1]
+            instances.append((a, b) if a < b else (b, a))
+    edges: set[tuple[int, int]] = set()
+    for a, b in instances:
+        if a == b:
+            problems.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
+            continue
+        if (a, b) in edges:
+            problems.append(Violation(RECOVERED_MULTI_EDGE, (a, b), "recovered edge appears twice"))
+        edges.add((a, b))
+    return edges, problems
+
+
+STRAIGHTENING_KINDS = {FALSE_CYCLE, RECOVERED_LOOP, RECOVERED_MULTI_EDGE}
+RECOVERY_ERRORS = {RECOVERED_LOOP: RecoveredLoop, RECOVERED_MULTI_EDGE: RecoveredMultiEdge}
+
+
+def assert_straightens_as_reference(g: AssociatedPlaneGraph) -> list[Violation]:
+    """`validate`'s straightening violations and `recover_original`'s
+    edges or exception are the reference's; returns the violations."""
+    edges, problems = reference_straighten(g)
+    assert [v for v in validate(g).violations if v.kind in STRAIGHTENING_KINDS] == problems
+    if problems:
+        with pytest.raises(ValueError) as err:
+            recover_original(g)
+        assert type(err.value) is RECOVERY_ERRORS.get(problems[0].kind, ValueError)
+        assert str(err.value) == str(problems[0])
+    else:
+        assert recover_original(g).edges == tuple(sorted(edges))
+    return problems
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_drawing(*CROSSING_BESIDE_DIRECT_EDGE),
+        build_drawing(*FALSE_CHAIN_LOOP),
+        build_drawing(*LOOP_AND_MULTI_EDGE),
+        build_drawing(*FALSE_VERTEX_CYCLE),
+        build_drawing(*CYCLE_BESIDE_MULTI_EDGE),
+        encircled_gadget(),
+        squeezed_gadget(),
+        doubly_triangular_gadget(),
+        crossing_gadget(9, 9, 1, 1, "triangle"),
+        crossing_gadget(24, 30, 3, 4, "quad"),
+        *(catalog(name) for name in catalog_names()),
+    ],
+)
+def test_straightening_matches_the_per_instance_reference(g):
+    assert_straightens_as_reference(g)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(4, 40),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_straightening_matches_the_reference_on_relabelled_drawings(seed, size, density, rng):
+    # Relabel the vertices by a random permutation, as the relabelling
+    # property of the discharging tests does, and mark some true
+    # 4-vertices false as well, which can straighten into loops,
+    # multi-edges and cycles.
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    labels = list(g.embedding.vertices)
+    rng.shuffle(labels)
+    vmap = dict(zip(g.embedding.vertices, labels))
+    fours = [v for v in g.embedding.vertices if g.embedding.degrees[v] == 4]
+    marked = g.false_vertices | set(rng.sample(fours, rng.randint(0, len(fours))))
+    for false in (g.false_vertices, marked):
+        h = build_drawing(
+            {vmap[v]: [vmap[u] for u in r] for v, r in g.embedding.rotation.items()},
+            {vmap[v] for v in false},
+        )
+        assert_straightens_as_reference(h)
