@@ -47,7 +47,9 @@ Most groups are empty or hold one amount, which is read directly;
 longer groups are summed with `discharging.exact_sum`. Values are the engine's `Fraction`s, one per
 distinct value within a run, and signs are read from their integer
 numerators. The face flows and every face-indexed gate come from one
-pass over the faces.
+pass over the faces. The pi+ income is read at `transitive_corners`,
+the corner records each crossing neighborhood derives once, the same
+records the engine's R6 routing reads; no face walk is scanned for them.
 """
 
 from __future__ import annotations

@@ -58,7 +58,10 @@ per (v, corner), covering both orientations of the stated rule:
 
 A face only ever sends through a false vertex whose two neighbors on
 that face both have degree at least 9 (a transitive false vertex); this
-is forced by the m >= 9 requirement above.
+is forced by the m >= 9 requirement above. The corners are the records
+each crossing neighborhood derives once: `find_special_faces`, the R6
+routing and `transitive_corners` (the audit's corners) read the same
+records, and `transitive_corners` lists them in crossing order.
 
 Residual splits in R7/R8 may move a negative balance; those transfers
 keep the face as their source and carry the signed per-recipient share.
@@ -209,7 +212,6 @@ class SpecialFace:
     pivot: int
     k: int
     partner: int
-    far_endpoints: tuple[int, int]
 
 
 def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
@@ -223,7 +225,7 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     view = recover_original(g)
     records = []
     for hood in hoods:
-        for near_a, near_b, far_a, far_b, f in hood.corners():
+        for near_a, near_b, far_a, far_b, f in hood.corners:
             if fdeg[f] != 3:
                 continue
             # both corner vertices are candidate pivots; the pivot's own
@@ -238,25 +240,25 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
                 if not view.has_edge(partner, pivot_far):
                     continue
                 if deg[partner_far] <= SPECIAL_PARTNER_BOUND[k]:
-                    records.append(SpecialFace(f, pivot, k, partner, (pivot_far, partner_far)))
+                    records.append(SpecialFace(f, pivot, k, partner))
     records.sort(key=lambda s: (s.face, s.pivot))
     return records
 
 
 def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
-    """(face, previous tail, false vertex, next tail) for every position
-    on every face where a false vertex sits between two face-neighbors
-    of degree at least 9, in face order and walk order."""
+    """(face, previous tail, false vertex, next tail) for every corner of
+    a crossing whose two bounding endpoints have degree at least 9, read
+    from the stored corner records, in crossing order: false vertices in
+    vertex order, each one's corners in rotation order. The face walk
+    enters the false vertex from the first bounding endpoint and leaves
+    it toward the second."""
     deg = g.embedding.degrees
-    false = g.false_vertices
-    out = []
-    for i, walk in enumerate(g.embedding.faces):
-        for j, (v, nxt) in enumerate(walk):
-            if v in false:
-                prev = walk[j - 1][0]
-                if deg[prev] >= 9 and deg[nxt] >= 9:
-                    out.append((i, prev, v, nxt))
-    return out
+    return [
+        (f, near_a, hood.false_vertex, near_b)
+        for hood in crossing_neighborhoods(g)
+        for near_a, near_b, _, _, f in hood.corners
+        if deg[near_a] >= 9 and deg[near_b] >= 9
+    ]
 
 
 def _phase_a(
@@ -311,7 +313,7 @@ def _route_through_crossing(
 ) -> list[Transfer]:
     """R6 transfers for every sending corner of one false vertex."""
     deg = g.embedding.degrees
-    corners = hood.corners()
+    corners = hood.corners
     transfers: list[Transfer] = []
     for i, (near_a, near_b, far_a, far_b, f1) in enumerate(corners):
         m = min(deg[near_a], deg[near_b])

@@ -15,11 +15,12 @@ which callers must not modify.
 
 A build tests each rotation as a whole (its length, loop and unknown
 neighbors against its successor table), tests the types of all ids and
-neighbors at once (a bool equals 0 or 1 but is not a vertex id), and
-finds an asymmetric edge as a successor the face walk cannot read. Only
-when such a test fails does the per-dart scan run, to name the first
-fault in table order, as it would have alone. Rotation faults come before disconnection, and
-disconnection before a failed Euler test.
+neighbors at once (ids and neighbors must be ints: a bool or a float
+such as 1.0 equals an int id but is not one), and finds an asymmetric
+edge as a successor the face walk cannot read. Only when such a test
+fails does the per-dart scan run, to name the first fault in table
+order, as it would have alone. Rotation faults come before
+disconnection, and disconnection before a failed Euler test.
 
 Face indexing is deterministic: walks are discovered and anchored at
 their lexicographically smallest directed edge, so rebuilding from equal
@@ -111,11 +112,13 @@ def _check_rotation(table: dict[int, tuple[int, ...]], succ: dict[int, dict[int,
     if not table:
         raise MalformedRotation("empty rotation system")
     for v, nbrs in table.items():
-        if type(v) is bool:
-            raise MalformedRotation(f"vertex id {v} is a bool, not an integer")
+        if type(v) is not int:
+            raise MalformedRotation(f"vertex id {v!r} is a {type(v).__name__}, not an integer")
         for u in nbrs:
-            if type(u) is bool:
-                raise MalformedRotation(f"vertex {v} lists neighbor {u}, a bool, not an integer")
+            if type(u) is not int:
+                raise MalformedRotation(
+                    f"vertex {v} lists neighbor {u!r}, a {type(u).__name__}, not an integer"
+                )
         seen: set[int] = set()
         for u in nbrs:
             if u == v:
@@ -174,9 +177,10 @@ def build_embedding(rotation: dict[int, list[int] | tuple[int, ...]]) -> PlaneEm
     `rotation` maps each vertex to a sequence of its neighbors; the
     embedding keeps its own copy, one tuple per vertex, so later changes
     to the caller's table do not reach it. Raises MalformedRotation for
-    asymmetric, looped, or duplicated adjacencies and for a bool vertex
-    id or neighbor, Disconnected for multi-component input, and NotPlane
-    when the traced faces violate Euler's identity V - E + F = 2.
+    asymmetric, looped, or duplicated adjacencies and for a vertex id or
+    neighbor that is not an int (a bool or a float such as 1.0 equals an
+    int id but is none), Disconnected for multi-component input, and
+    NotPlane when the traced faces violate Euler's identity V - E + F = 2.
     """
     table = dict(zip(rotation, map(tuple, rotation.values())))
     # succ[v][u]: the neighbor that follows u in the cyclic order at v
@@ -184,7 +188,7 @@ def build_embedding(rotation: dict[int, list[int] | tuple[int, ...]]) -> PlaneEm
     keys = table.keys()
     if (
         not table
-        or bool in set(map(type, chain(keys, chain.from_iterable(table.values()))))
+        or set(map(type, chain(keys, chain.from_iterable(table.values())))) != {int}
         or any(
             len(s) != len(r) or v in s or not s.keys() <= keys
             for (v, r), s in zip(table.items(), succ.values())

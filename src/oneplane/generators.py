@@ -120,6 +120,18 @@ def _fill_face(rotation: dict[int, list[int]], walk: tuple[int, ...], new: int) 
     rotation[new] = [b, a, d, c]
 
 
+def _fill_faces(
+    rotation: dict[int, list[int]], walks: list[tuple[int, ...]]
+) -> AssociatedPlaneGraph:
+    """Fill each quad walk of `rotation` with a crossing vertex, numbered
+    in walk order from max(rotation) + 1, and build the drawing with
+    those vertices marked false."""
+    first = max(rotation) + 1
+    for new, walk in enumerate(walks, first):
+        _fill_face(rotation, walk, new)
+    return build_drawing(rotation, frozenset(range(first, first + len(walks))))
+
+
 def quadrangulation_diagonals(
     q: dict[int, list[int] | tuple[int, ...]], faces: list[int] | None = None
 ) -> AssociatedPlaneGraph:
@@ -146,18 +158,12 @@ def quadrangulation_diagonals(
             raise ValueError(f"face index {i} is repeated")
         seen.add(i)
 
-    rotation = {v: list(r) for v, r in emb.rotation.items()}
-    next_id = max(rotation) + 1
-    false: set[int] = set()
-    for i in selected:
-        walk = emb.face_tails(i)
+    walks = [emb.face_tails(i) for i in selected]
+    for i, walk in zip(selected, walks):
         if len(set(walk)) != 4:
             raise NotQuadrangulation(f"face {i} repeats a vertex: {walk}")
-        _fill_face(rotation, walk, next_id)
-        false.add(next_id)
-        next_id += 1
 
-    g = build_drawing(rotation, false)
+    g = _fill_faces({v: list(r) for v, r in emb.rotation.items()}, walks)
     report = validate(g)
     if not report.ok:
         raise RecoveredMultiEdge("; ".join(str(v) for v in report.violations))
@@ -171,7 +177,7 @@ def _stacked_triangulation(rng: random.Random, n: int) -> dict[int, list[int]]:
     triangular face, joined to its three corners. Always simple, plane,
     and 3-connected.
     """
-    rotation: dict[int, list[int]] = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
+    rotation = {v: list(r) for v, r in _CATALOG["k4"][0].items()}
     k4 = build_embedding(rotation)
     faces = [k4.face_tails(i) for i in range(k4.face_count())]
     for w in range(4, n):
@@ -213,8 +219,7 @@ def _split_quad(rotation: dict[int, list[int]], walk: tuple[int, ...], new: int)
 
 
 def _grow_quadrangulation(rng: random.Random, size: int) -> dict[int, list[int]]:
-    if size < 4:
-        raise ValueError("size must be at least 4")
+    """A random simple plane quadrangulation on `size` >= 4 vertices."""
     if size < 8:
         rotation = {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0]}
         splits = size - 4
@@ -274,13 +279,7 @@ def random_oneplane(params: GeneratorParams) -> AssociatedPlaneGraph:
         if len(chosen) < target:
             continue
 
-        next_id = max(rotation) + 1
-        false: set[int] = set()
-        for i in sorted(chosen):
-            _fill_face(rotation, emb.face_tails(i), next_id)
-            false.add(next_id)
-            next_id += 1
-        g = build_drawing(rotation, false)
+        g = _fill_faces(rotation, [emb.face_tails(i) for i in sorted(chosen)])
         if validate(g).ok:
             return g
 

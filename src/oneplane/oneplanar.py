@@ -19,15 +19,21 @@ validation violation.
 crossing segments alone, derived once per drawing, and tests each
 against the embedding's darts and the earlier segments. The recovered
 edge list, the direct edges between true vertices plus the segments, is
-built on the first `recover_original`.
+built on the first `recover_original`. Recovery refuses a false vertex
+whose degree is not 4, through the check the crossing neighborhoods
+share, so every dart at a true vertex straightens into exactly one
+recovered edge and the recovered degrees are the embedding's own.
+
+Each crossing's four corner records are derived once, with its
+neighborhood, from the false vertex's rotation and `corner_faces`; the
+discharging engine and the audit read them and derive no corner again.
+Vertex ids, neighbors and false-vertex marks must be ints.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .embedding import PlaneEmbedding, build_embedding
 
@@ -62,36 +68,45 @@ class AssociatedPlaneGraph:
         `recover_original`."""
         return _straighten(self)
 
+    def _check_false_degrees(self) -> None:
+        """Raise ValueError naming the first false vertex, in vertex
+        order, whose degree is not 4; shared by recovery and the
+        crossing neighborhoods."""
+        deg = self.embedding.degrees
+        for f in self.sorted_false_vertices:
+            if deg[f] != 4:
+                raise ValueError(f"false vertex {f} has degree {deg[f]}, not 4")
+
     @cached_property
     def _neighborhoods(self) -> list[CrossingNeighborhood]:
+        self._check_false_degrees()
         emb = self.embedding
-        face_of = emb.face_of
         out: list[CrossingNeighborhood] = []
         for f in self.sorted_false_vertices:
-            r = emb.rotation[f]
-            if len(r) != 4:
-                raise ValueError(f"false vertex {f} has degree {len(r)}, not 4")
+            r, c = emb.rotation[f], emb.corner_faces(f)
             k = r.index(min(r))
-            e0, e1, e2, e3 = endpoints = r[k:] + r[:k]
-            faces = (face_of[f, e1], face_of[f, e2], face_of[f, e3], face_of[f, e0])
-            out.append(CrossingNeighborhood(f, endpoints, faces))  # type: ignore[arg-type]
+            e, faces = r[k:] + r[:k], c[k:] + c[:k]
+            corners = tuple(zip(e, e[1:] + e[:1], e[2:] + e[:2], e[3:] + e[:3], faces))
+            out.append(CrossingNeighborhood(f, e, faces, corners))  # type: ignore[arg-type]
         return out
 
     @cached_property
     def _original(self) -> OriginalGraphView:
         """Derived once per drawing, on first use, for `recover_original`.
         An invalid drawing caches nothing and raises on every access."""
+        self._check_false_degrees()
         segments, problems = self._straightened
         if problems:
             raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
-        rot, false = self.embedding.rotation, self.false_vertices
-        vertices = tuple(v for v in self.embedding.vertices if v not in false)
+        emb, false = self.embedding, self.false_vertices
+        rot, deg = emb.rotation, emb.degrees
+        vertices = tuple(v for v in emb.vertices if v not in false)
         # the direct edges between true vertices come nearly in order
         edges = [(u, v) for u in vertices for v in rot[u] if u < v and v not in false]
         edges += segments
         edges.sort()
-        degrees = dict.fromkeys(vertices, 0)
-        degrees.update(Counter(chain.from_iterable(edges)))
+        # every dart at a true vertex straightens into one recovered edge
+        degrees = {v: deg[v] for v in vertices}
         return OriginalGraphView(vertices=vertices, edges=tuple(edges), degrees=degrees)
 
 
@@ -99,9 +114,16 @@ def build_drawing(
     rotation: dict[int, list[int] | tuple[int, ...]],
     false_vertices: set[int] | frozenset[int] = frozenset(),
 ) -> AssociatedPlaneGraph:
-    """Build and embed a planarized drawing from a rotation table."""
+    """Build and embed a planarized drawing from a rotation table.
+
+    Vertex ids, neighbors and false-vertex marks must be ints; a mark
+    that is not one, such as 2.0 for vertex 2, raises ValueError, and so
+    does a mark naming no vertex."""
     emb = build_embedding(rotation)
     marks = frozenset(false_vertices)
+    for m in marks:
+        if type(m) is not int:
+            raise ValueError(f"false-vertex mark {m!r} is a {type(m).__name__}, not an integer")
     if not marks <= emb.rotation.keys():
         unknown = sorted(marks - emb.rotation.keys())
         raise ValueError(f"false-vertex marks name unknown vertices: {unknown}")
@@ -272,42 +294,43 @@ class OriginalGraphView:
 def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
     """Undo the planarization, returning the original simple graph.
 
-    Raises RecoveredLoop or RecoveredMultiEdge when straightening breaks
-    simplicity, and a plain ValueError when a crossing segment cycles
-    through false vertices; each signals an invalid drawing, on every
-    call. The straightening is derived once per drawing and shared with
-    `validate`; every call on a valid drawing returns the same view,
-    whose `degrees` callers must not modify.
+    Raises a plain ValueError, first, when a false vertex's degree is not
+    4 (`crossing_neighborhoods` raises the same error, from the same
+    check): such a vertex is no crossing, and straightening would drop
+    its edges. Then raises RecoveredLoop or RecoveredMultiEdge when
+    straightening breaks simplicity, and a plain ValueError when a
+    crossing segment cycles through false vertices. Each signals an
+    invalid drawing, on every call. The straightening is derived once
+    per drawing and shared with `validate`; every call on a valid
+    drawing returns the same view, whose `degrees` are the embedding's
+    degrees of the true vertices, and which callers must not modify.
     """
     return g._original
 
 
 @dataclass(frozen=True)
 class CrossingNeighborhood:
-    """Local labels around one crossing.
+    """Local labels around one crossing, derived once per crossing.
 
     `endpoints` lists the four neighbors in rotation order starting at
     the lowest id, so positions 0/2 and 1/3 are the two original edges.
-    `faces[i]` is the face at the corner between endpoints i and i+1.
-    The starting label is only a representative: consumers must not
-    depend on which rotation or reflection of the labels was chosen.
+    `faces[i]` is the face at the corner between endpoints i and i+1:
+    the false vertex's `corner_faces`, rotated alike. `corners[i]` is
+    (A, B, a, b, faces[i]), where A and B are the endpoints i and i+1
+    bounding the corner and a and b are their opposite endpoints, the
+    far ends of the two original edges. The starting label is only a
+    representative: consumers must not depend on which rotation or
+    reflection of the labels was chosen.
     """
 
     false_vertex: int
     endpoints: tuple[int, int, int, int]
     faces: tuple[int, int, int, int]
+    corners: tuple[tuple[int, int, int, int, int], ...]
 
     def crossing_pairs(self) -> frozenset[frozenset[int]]:
         e = self.endpoints
         return frozenset({frozenset({e[0], e[2]}), frozenset({e[1], e[3]})})
-
-    def corners(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Per corner i: (A, B, a, b, faces[i]), where A and B are the
-        endpoints i and i+1 bounding the corner and a and b are their
-        opposite endpoints, the far ends of the two original edges."""
-        e0, e1, e2, e3 = self.endpoints
-        f0, f1, f2, f3 = self.faces
-        return ((e0, e1, e2, e3, f0), (e1, e2, e3, e0, f1), (e2, e3, e0, e1, f2), (e3, e0, e1, e2, f3))
 
 
 def crossing_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:

@@ -26,9 +26,15 @@ from oneplane.discharging import (
     transitive_corners,
     vertex,
 )
-from oneplane.generators import GenerationFailed, GeneratorParams, catalog, random_oneplane
+from oneplane.generators import (
+    GenerationFailed,
+    GeneratorParams,
+    catalog,
+    catalog_names,
+    random_oneplane,
+)
 from oneplane.lightedge import check_light_edge_guarantee
-from oneplane.oneplanar import build_drawing
+from oneplane.oneplanar import AssociatedPlaneGraph, build_drawing, crossing_neighborhoods
 from test_acceptance import R6_SAMPLES
 from test_audit import _gadget_drawings
 
@@ -159,6 +165,79 @@ def test_transitive_false_vertices():
     assert transitive_corners(g) == []
 
     assert transitive_corners(build_drawing(K4)) == []
+
+
+def reference_transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
+    """The face-walk scan `transitive_corners` replaced, as the reference
+    for its filter over the corner records: (face, previous tail, false
+    vertex, next tail) for every position on every face where a false
+    vertex sits between two face-neighbors of degree at least 9, sorted."""
+    deg = g.embedding.degrees
+    false = g.false_vertices
+    out = []
+    for i, walk in enumerate(g.embedding.faces):
+        for j, (v, nxt) in enumerate(walk):
+            if v in false:
+                prev = walk[j - 1][0]
+                if deg[prev] >= 9 and deg[nxt] >= 9:
+                    out.append((i, prev, v, nxt))
+    return sorted(out)
+
+
+def assert_corners_as_reference(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
+    """Every neighborhood's faces are the false vertex's `corner_faces`
+    rotated to its lowest endpoint, its corner records are read off its
+    endpoints and faces, and the transitive corners are the reference's.
+    Returns the transitive corners, sorted."""
+    emb = g.embedding
+    for hood in crossing_neighborhoods(g):
+        r, c = emb.rotation[hood.false_vertex], emb.corner_faces(hood.false_vertex)
+        k = r.index(min(r))
+        assert hood.endpoints == r[k:] + r[:k]
+        assert hood.faces == c[k:] + c[:k]
+        e, faces = hood.endpoints, hood.faces
+        assert hood.corners == tuple(
+            (e[i], e[(i + 1) % 4], e[(i + 2) % 4], e[(i + 3) % 4], faces[i]) for i in range(4)
+        )
+    corners = sorted(transitive_corners(g))
+    assert corners == reference_transitive_corners(g)
+    return corners
+
+
+def test_transitive_corners_match_the_face_walk_reference():
+    drawings = [catalog(name) for name in catalog_names()] + R6_SAMPLES + _gadget_drawings()
+    found = [assert_corners_as_reference(g) for g in drawings]
+    assert sum(map(bool, found)) >= 20  # the filter is exercised
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(4, 40),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_transitive_corners_match_the_reference_on_relabelled_drawings(seed, size, density, rng):
+    # Relabel the vertices by a random permutation, as the relabelling
+    # property does, and pump some true vertices with pendant leaves at
+    # random corners: quadrangulation fills alone have no corner whose
+    # two endpoints both reach degree 9.
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    labels = list(g.embedding.vertices)
+    rng.shuffle(labels)
+    vmap = dict(zip(g.embedding.vertices, labels))
+    rot = {vmap[v]: [vmap[u] for u in r] for v, r in g.embedding.rotation.items()}
+    false = {vmap[v] for v in g.false_vertices}
+    true = sorted(set(rot) - false)
+    for v in rng.sample(true, rng.randint(0, len(true))):
+        for _ in range(rng.randint(0, 8)):
+            leaf = max(rot) + 1
+            rot[v].insert(rng.randrange(len(rot[v]) + 1), leaf)
+            rot[leaf] = [v]
+    assert_corners_as_reference(build_drawing(rot, false))
 
 
 def test_eight_wheel_hub_pays_half_everywhere_and_ends_at_zero():

@@ -161,6 +161,16 @@ def test_corpus_degree_tables_match_rotation_and_walks(corpus):
         # checks; after every check of an earlier vertex
         ({0: [0, 7, 1, 1, True], 1: [0]}, "vertex 0 lists neighbor True, a bool, not an integer"),
         ({0: [7], 2: [True], 1: [0]}, "vertex 0 lists unknown neighbor 7"),
+        # ids and neighbors must be ints: a float equal to an id is none,
+        # and is named the same way
+        ({0: [1.0, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]},
+         "vertex 0 lists neighbor 1.0, a float, not an integer"),
+        ({0.0: [1, 3, 2], 1: [2, 3, 0.0], 2: [0.0, 3, 1], 3: [2, 0.0, 1]},
+         "vertex id 0.0 is a float, not an integer"),
+        ({0: [0, 7, 1, 1, 1.0], 1: [0]}, "vertex 0 lists neighbor 1.0, a float, not an integer"),
+        ({0: [7], 2: [1.0], 1: [0]}, "vertex 0 lists unknown neighbor 7"),
+        ({0: [1], 1: [0, 2.0], 2.0: [1]}, "vertex 1 lists neighbor 2.0, a float, not an integer"),
+        ({0: ["1"], 1: [0]}, "vertex 0 lists neighbor '1', a str, not an integer"),
     ],
 )
 def test_malformed_rotation_messages_and_first_error(rotation, message):

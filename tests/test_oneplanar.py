@@ -12,7 +12,7 @@ from gadgets import (
     encircled_gadget,
     squeezed_gadget,
 )
-from oneplane.embedding import build_embedding
+from oneplane.embedding import MalformedRotation, build_embedding
 from oneplane.generators import (
     GenerationFailed,
     GeneratorParams,
@@ -21,6 +21,7 @@ from oneplane.generators import (
     random_oneplane,
 )
 from oneplane.graphio import dumps
+from oneplane.lightedge import check_light_edge_guarantee
 from oneplane.oneplanar import (
     ADJACENT_FALSE,
     CROSSING_EDGE_ON_TWO_TRIANGLES,
@@ -45,6 +46,8 @@ from oneplane.oneplanar import (
 )
 
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
+# the wheel with hub 0 and rim 1-5
+W5 = {0: [1, 2, 3, 4, 5], 1: [0, 5, 2], 2: [0, 1, 3], 3: [0, 2, 4], 4: [0, 3, 5], 5: [0, 4, 1]}
 
 # Hand-built invalid drawings: (rotation, false vertices).
 # vertex 2 is the crossing of edges 0-1 and 3-4, but 0-1 also exists
@@ -213,6 +216,36 @@ def test_false_vertex_cycle_is_a_plain_value_error():
     with pytest.raises(ValueError, match=FALSE_CYCLE) as err:
         recover_original(g)
     assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("rotation, false, degree", [(K4, {3}, 3), (W5, {0}, 5)])
+def test_recovery_refuses_a_false_vertex_whose_degree_is_not_4(rotation, false, degree):
+    # recovery used to drop the vertex's edges, leaving K4's triangle
+    # 0-1-2 at degree 2; it now raises the neighborhoods' error
+    g = build_drawing(rotation, false)
+    (f,) = false
+    assert [str(v) for v in validate(g).violations] == [
+        f"false-vertex-degree [{f}]: degree {degree}, expected 4"
+    ]
+    for derive in (recover_original, crossing_neighborhoods, check_light_edge_guarantee):
+        for _ in range(2):  # an invalid drawing caches nothing
+            with pytest.raises(ValueError) as err:
+                derive(g)
+            assert type(err.value) is ValueError
+            assert str(err.value) == f"false vertex {f} has degree {degree}, not 4"
+
+
+def test_ids_neighbors_and_marks_must_be_ints():
+    # a float equal to an id used to pass as that id
+    with pytest.raises(MalformedRotation, match="lists neighbor 1.0, a float, not an integer"):
+        build_drawing({0: [1.0, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]})
+    g = crossing_gadget(24, 30, 3, 4, "quad")
+    for mark, kind in ((2.0, "float"), (True, "bool")):
+        with pytest.raises(ValueError) as err:
+            build_drawing(g.embedding.rotation, {mark})
+        assert str(err.value) == f"false-vertex mark {mark} is a {kind}, not an integer"
+    with pytest.raises(ValueError, match=r"unknown vertices: \[99\]"):
+        build_drawing(g.embedding.rotation, {2, 99})
 
 
 def test_crossing_neighborhoods_on_k5():
