@@ -13,6 +13,13 @@ one or two quadrilateral faces, which caps the fillable fraction
 slightly. Fills that would duplicate a recovered edge are skipped, and
 whole attempts that cannot reach the requested fill count are retried
 with fresh random structure before giving up.
+
+Each growth step keeps the face walks of what it grows, in the order
+`build_embedding` would list them, so a generated drawing is embedded
+once, by the final `build_drawing`, which also validates it. A build
+ranks each face by its least dart and starts its walk there; every walk
+grown here has distinct vertices, so that order is: each walk starts at
+its least vertex, and the walks are sorted by their first two vertices.
 """
 
 from __future__ import annotations
@@ -170,16 +177,33 @@ def quadrangulation_diagonals(
     return g
 
 
-def _stacked_triangulation(rng: random.Random, n: int) -> dict[int, list[int]]:
-    """Grow a random stacked triangulation on n >= 4 vertices.
+Walk = tuple[int, ...]
+
+
+def _build_order(walks: list[Walk]) -> list[Walk]:
+    """Face walks over distinct vertices, in `build_embedding`'s order:
+    each turned to start at its least vertex, then sorted."""
+    turned = []
+    for w in walks:
+        k = w.index(min(w))
+        turned.append(w[k:] + w[:k])
+    return sorted(turned)
+
+
+# K4's face walks, in build order, for the catalog rotation.
+_K4_WALKS: list[Walk] = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+
+
+def _stacked_triangulation(rng: random.Random, n: int) -> tuple[dict[int, list[int]], list[Walk]]:
+    """Grow a random stacked triangulation on n >= 4 vertices, and its
+    face walks in build order.
 
     Starts from K4 and repeatedly puts a new vertex inside a random
     triangular face, joined to its three corners. Always simple, plane,
     and 3-connected.
     """
     rotation = {v: list(r) for v, r in _CATALOG["k4"][0].items()}
-    k4 = build_embedding(rotation)
-    faces = [k4.face_tails(i) for i in range(k4.face_count())]
+    faces = list(_K4_WALKS)
     for w in range(4, n):
         a, b, c = faces.pop(rng.randrange(len(faces)))
         # the face walk visits a -> b -> c; the new faces keep that order
@@ -189,52 +213,62 @@ def _stacked_triangulation(rng: random.Random, n: int) -> dict[int, list[int]]:
         rotation[w] = [b, a, c]
         # new walks keep the old orientation: (a,b,w) stands for a->b->w
         faces += [(a, b, w), (b, c, w), (c, a, w)]
-    return rotation
+    return rotation, _build_order(faces)
 
 
-def _radial_quadrangulation(triangulation: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Vertex-face incidence graph of a plane triangulation.
+def _radial_quadrangulation(
+    triangulation: dict[int, list[int]], walks: list[Walk]
+) -> tuple[dict[int, list[int]], list[Walk]]:
+    """Vertex-face incidence graph of a plane triangulation, given its
+    face walks in build order, and the result's walks in build order.
 
     Face k of the input becomes vertex n + k; every face of the result
-    is a quadrilateral (one per input edge).
+    is a quadrilateral, (v, f[u, v], u, f[v, u]) for the input edge
+    v < u, where f[p, q] = n + k for the face k that holds dart p -> q.
     """
-    emb = build_embedding(triangulation)
-    n = emb.vertex_count()
+    n = len(triangulation)
+    f: dict[tuple[int, int], int] = {}
+    for k, (a, b, c) in enumerate(walks):
+        f[a, b] = f[b, c] = f[c, a] = n + k
     rotation: dict[int, list[int]] = {}
-    for v in emb.vertices:
-        rotation[v] = [n + f for f in emb.corner_faces(v)]
-    for i in range(emb.face_count()):
+    for v in sorted(triangulation):
+        r = triangulation[v]
+        rotation[v] = [f[v, u] for u in r[1:] + r[:1]]
+    for k, walk in enumerate(walks):
         # face walks and vertex rotations run in opposite chirality
-        rotation[n + i] = list(reversed(emb.face_tails(i)))
-    return rotation
+        rotation[n + k] = list(reversed(walk))
+    quads = [(v, f[u, v], u, f[v, u]) for v, r in triangulation.items() for u in r if v < u]
+    return rotation, sorted(quads)
 
 
-def _split_quad(rotation: dict[int, list[int]], walk: tuple[int, ...], new: int) -> None:
+def _split_quad(rotation: dict[int, list[int]], walk: Walk, new: int) -> list[Walk]:
     """Split the quad face (A, B, C, D) into two quads with a fresh
-    degree-2 vertex joined to B and D."""
+    degree-2 vertex joined to B and D; returns their walks."""
     a, b, c, d = walk
     _insert_after(rotation, b, a, new)
     _insert_after(rotation, d, c, new)
     rotation[new] = [b, d]
+    return [(a, b, new, d), (new, b, c, d)]
 
 
-def _grow_quadrangulation(rng: random.Random, size: int) -> dict[int, list[int]]:
-    """A random simple plane quadrangulation on `size` >= 4 vertices."""
+def _grow_quadrangulation(rng: random.Random, size: int) -> tuple[dict[int, list[int]], list[Walk]]:
+    """A random simple plane quadrangulation on `size` >= 4 vertices,
+    and its face walks in build order."""
     if size < 8:
         rotation = {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0]}
+        walks = [(0, 1, 2, 3), (0, 3, 2, 1)]
         splits = size - 4
     else:
         base = (size + 4) // 3  # largest t with 3t - 4 <= size
-        rotation = _radial_quadrangulation(_stacked_triangulation(rng, base))
+        rotation, walks = _radial_quadrangulation(*_stacked_triangulation(rng, base))
         splits = size - (3 * base - 4)
     for _ in range(splits):
-        emb = build_embedding(rotation)
-        quads = [i for i, d in enumerate(emb.face_degrees) if d == 4]
-        walk = emb.face_tails(rng.choice(quads))
+        walk = rng.choice(walks)
+        walks.remove(walk)
         if rng.random() < 0.5:
             walk = walk[1:] + walk[:1]  # split along the other diagonal
-        _split_quad(rotation, walk, max(rotation) + 1)
-    return rotation
+        walks = _build_order(walks + _split_quad(rotation, walk, max(rotation) + 1))
+    return rotation, walks
 
 
 _MAX_ATTEMPTS = 10
@@ -257,20 +291,19 @@ def random_oneplane(params: GeneratorParams) -> AssociatedPlaneGraph:
     rng = random.Random(params.seed)
 
     for _ in range(_MAX_ATTEMPTS):
-        rotation = _grow_quadrangulation(rng, params.size)
-        emb = build_embedding(rotation)
-        target = int(params.crossing_density * emb.face_count())
+        rotation, walks = _grow_quadrangulation(rng, params.size)
+        target = int(params.crossing_density * len(walks))
 
         used_pairs: set[frozenset[int]] = {
             frozenset((u, v)) for u, r in rotation.items() for v in r
         }
-        order = list(range(emb.face_count()))
+        order = list(range(len(walks)))
         rng.shuffle(order)
         chosen: list[int] = []
         for i in order:
             if len(chosen) == target:
                 break
-            walk = emb.face_tails(i)
+            walk = walks[i]
             diag_a, diag_b = frozenset((walk[0], walk[2])), frozenset((walk[1], walk[3]))
             if diag_a in used_pairs or diag_b in used_pairs or diag_a == diag_b:
                 continue
@@ -279,7 +312,7 @@ def random_oneplane(params: GeneratorParams) -> AssociatedPlaneGraph:
         if len(chosen) < target:
             continue
 
-        g = _fill_faces(rotation, [emb.face_tails(i) for i in sorted(chosen)])
+        g = _fill_faces(rotation, [walks[i] for i in sorted(chosen)])
         if validate(g).ok:
             return g
 

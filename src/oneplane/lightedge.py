@@ -46,7 +46,8 @@ class LightEdgeWitness:
 def find_light_edges(
     view: OriginalGraphView, bounds: Mapping[int, int] = BOUNDS
 ) -> list[LightEdgeWitness]:
-    """All light edges of the recovered graph, sorted by (type, degree, ids)."""
+    """All light edges of the recovered graph, sorted by the smaller
+    endpoint degree, as a number (so T3 comes before T10), then by edge."""
     deg = view.degrees
     found = []
     # light type per distinct (degree, degree) pair, classified once
@@ -59,7 +60,7 @@ def find_light_edges(
             tag = types[degrees] = classify_edge(*degrees, bounds)
         if tag is not None:
             found.append(LightEdgeWitness((a, b), degrees, tag))
-    found.sort(key=lambda w: (w.light_type, min(w.degrees), w.edge))
+    found.sort(key=lambda w: (min(w.degrees), w.edge))
     return found
 
 

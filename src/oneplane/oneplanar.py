@@ -85,9 +85,9 @@ class AssociatedPlaneGraph:
         for f in self.sorted_false_vertices:
             r, c = emb.rotation[f], emb.corner_faces(f)
             k = r.index(min(r))
-            e, faces = r[k:] + r[:k], c[k:] + c[:k]
-            corners = tuple(zip(e, e[1:] + e[:1], e[2:] + e[:2], e[3:] + e[:3], faces))
-            out.append(CrossingNeighborhood(f, e, faces, corners))  # type: ignore[arg-type]
+            e = r[k:] + r[:k]
+            corners = tuple(zip(e, e[1:] + e[:1], e[2:] + e[:2], e[3:] + e[:3], c[k:] + c[:k]))
+            out.append(CrossingNeighborhood(f, corners))  # type: ignore[arg-type]
         return out
 
     @cached_property
@@ -312,25 +312,19 @@ def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
 class CrossingNeighborhood:
     """Local labels around one crossing, derived once per crossing.
 
-    `endpoints` lists the four neighbors in rotation order starting at
-    the lowest id, so positions 0/2 and 1/3 are the two original edges.
-    `faces[i]` is the face at the corner between endpoints i and i+1:
-    the false vertex's `corner_faces`, rotated alike. `corners[i]` is
-    (A, B, a, b, faces[i]), where A and B are the endpoints i and i+1
-    bounding the corner and a and b are their opposite endpoints, the
-    far ends of the two original edges. The starting label is only a
-    representative: consumers must not depend on which rotation or
-    reflection of the labels was chosen.
+    The four endpoints are the false vertex's neighbors in rotation
+    order, starting at the lowest id, so endpoints 0/2 and 1/3 are the
+    two original edges. `corners[i]` is (A, B, a, b, face), where A and
+    B are the endpoints i and i+1 bounding the corner, a and b are their
+    opposite endpoints, the far ends of the two original edges, and
+    face is the face at the corner: the false vertex's `corner_faces`,
+    rotated alike. The starting label is only a representative:
+    consumers must not depend on which rotation or reflection of the
+    labels was chosen.
     """
 
     false_vertex: int
-    endpoints: tuple[int, int, int, int]
-    faces: tuple[int, int, int, int]
     corners: tuple[tuple[int, int, int, int, int], ...]
-
-    def crossing_pairs(self) -> frozenset[frozenset[int]]:
-        e = self.endpoints
-        return frozenset({frozenset({e[0], e[2]}), frozenset({e[1], e[3]})})
 
 
 def crossing_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:

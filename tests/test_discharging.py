@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gadgets import crossing_gadget, prepaid_big_face_gadget
 from naive_oracle import naive_ledger, naive_run
+from neighborhoods import endpoints, faces
 from oneplane import discharging
 from oneplane.audit import _group_sum, audit
 from oneplane.discharging import (
@@ -193,11 +194,11 @@ def assert_corners_as_reference(g: AssociatedPlaneGraph) -> list[tuple[int, int,
     for hood in crossing_neighborhoods(g):
         r, c = emb.rotation[hood.false_vertex], emb.corner_faces(hood.false_vertex)
         k = r.index(min(r))
-        assert hood.endpoints == r[k:] + r[:k]
-        assert hood.faces == c[k:] + c[:k]
-        e, faces = hood.endpoints, hood.faces
+        assert endpoints(hood) == r[k:] + r[:k]
+        assert faces(hood) == c[k:] + c[:k]
+        e, fs = endpoints(hood), faces(hood)
         assert hood.corners == tuple(
-            (e[i], e[(i + 1) % 4], e[(i + 2) % 4], e[(i + 3) % 4], faces[i]) for i in range(4)
+            (e[i], e[(i + 1) % 4], e[(i + 2) % 4], e[(i + 3) % 4], fs[i]) for i in range(4)
         )
     corners = sorted(transitive_corners(g))
     assert corners == reference_transitive_corners(g)
@@ -426,6 +427,15 @@ def test_engine_matches_naive_oracle_spot_checks():
         engine = sorted(ledger_lines(transfers))
         oracle = sorted(naive_ledger(g.embedding.rotation, set(g.false_vertices)))
         assert engine == oracle
+
+
+def test_engine_matches_naive_oracle_on_r6_samples_and_gadgets():
+    """The R6 samples and the gadget sweep are where R6 fires, so their
+    ledgers pin the band routing of `_route_through_crossing`."""
+    for i, g in enumerate(R6_SAMPLES + _gadget_drawings()):
+        engine = sorted(ledger_lines(apply_discharging(g)[1]))
+        oracle = sorted(naive_ledger(g.embedding.rotation, set(g.false_vertices)))
+        assert engine == oracle, i
 
 
 DEGENERATE = {

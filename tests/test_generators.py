@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneplane import graphio
+from oneplane import generators, graphio, oneplanar
+from oneplane.embedding import build_embedding
 from oneplane.generators import (
     GenerationFailed,
     GeneratorParams,
     NotQuadrangulation,
     UnknownCatalogName,
+    _build_order,
+    _grow_quadrangulation,
+    _radial_quadrangulation,
+    _split_quad,
+    _stacked_triangulation,
     catalog,
     catalog_names,
     quadrangulation_diagonals,
@@ -131,3 +140,93 @@ def test_generator_outputs_always_validate(seed, size, density):
     assert validate(g).ok
     true_count = g.embedding.vertex_count() - len(g.false_vertices)
     assert true_count == size
+
+
+# sha256 over `graphio.dumps` of every drawing of the grid below, each
+# preceded by its parameters, "GenerationFailed" standing for a drawing
+# the parameters cannot reach, and then of catalog("cube-plus-diagonals").
+# Any change to what the generators draw, or to how the random stream is
+# consumed, changes it.
+GENERATOR_DIGEST = (
+    "7235ddcfb156478c6dbe6864962e6107650d62c759fcc6fafdd3a533ae3144f9"
+)
+# Sizes 4-7 split the 4-cycle, sizes 3t - 4 (8 to 23, 59) are radial
+# quadrangulations with no split, and the others take one or two splits.
+GOLDEN_SIZES = (4, 5, 6, 7, 8, 11, 14, 17, 20, 23, 9, 10, 12, 13, 16, 25, 31, 40, 59)
+GOLDEN_DENSITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def test_generator_bytes_are_pinned():
+    grid = [GeneratorParams(seed, size, density)
+            for seed in range(4) for size in GOLDEN_SIZES for density in GOLDEN_DENSITIES]
+    grid += [GeneratorParams(0, 100, 0.5), GeneratorParams(1, 301, 0.75)]
+    h = hashlib.sha256()
+    for p in grid:
+        h.update(f"{p.seed} {p.size} {p.crossing_density}\n".encode())
+        try:
+            h.update(graphio.dumps(random_oneplane(p)).encode())
+        except GenerationFailed:
+            h.update(b"GenerationFailed\n")
+    h.update(graphio.dumps(catalog("cube-plus-diagonals")).encode())
+    assert h.hexdigest() == GENERATOR_DIGEST
+
+
+def _build_walks(rotation):
+    emb = build_embedding(rotation)
+    return [emb.face_tails(i) for i in range(emb.face_count())]
+
+
+def _split_and_check(rng, rotation, walks, count):
+    """Split `count` random quads one after another, checking the kept
+    walks against a fresh build after each split."""
+    for _ in range(count):
+        walk = rng.choice(walks)
+        walks.remove(walk)
+        if rng.random() < 0.5:
+            walk = walk[1:] + walk[:1]
+        walks = _build_order(walks + _split_quad(rotation, walk, max(rotation) + 1))
+        assert walks == _build_walks(rotation)
+
+
+@given(st.integers(0, 10_000), st.integers(4, 40))
+@settings(max_examples=100, deadline=None)
+def test_kept_walks_are_the_build_order_at_every_stage(seed, n):
+    """The generators embed each drawing once: at every growth stage the
+    walks they keep are the face tails a build of the rotation would
+    give, in index order."""
+    rng = random.Random(seed)
+    triangulation, walks = _stacked_triangulation(rng, n)
+    assert walks == _build_walks(triangulation)
+    quadrangulation, walks = _radial_quadrangulation(triangulation, walks)
+    assert walks == _build_walks(quadrangulation)
+    _split_and_check(rng, quadrangulation, walks, 3)
+    four_cycle = {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0]}
+    _split_and_check(rng, four_cycle, [(0, 1, 2, 3), (0, 3, 2, 1)], 4)
+    # the quadrangulation that `random_oneplane` fills, at every size up
+    # to 3n - 4 and so with every number of splits
+    for size in (4, 5, 6, 7, n, 3 * n - 5, 3 * n - 4):
+        rotation, walks = _grow_quadrangulation(rng, size)
+        assert walks == _build_walks(rotation)
+        assert len(rotation) == size
+
+
+def test_each_generated_drawing_is_embedded_once(monkeypatch):
+    """The growth stages read their kept walks: the only build is the
+    final `build_drawing`'s, at 4-cycle splits, radial quadrangulations
+    with and without splits, and the catalog's filled cube."""
+    builds = []
+    real = oneplanar.build_embedding
+
+    def counted(rotation):
+        builds.append(len(rotation))
+        return real(rotation)
+
+    monkeypatch.setattr(oneplanar, "build_embedding", counted)
+    monkeypatch.setattr(generators, "build_embedding", counted)
+    for size, density in ((7, 0.5), (30, 0.75), (59, 1.0), (100, 0.5)):
+        builds.clear()
+        g = random_oneplane(GeneratorParams(0, size, density))
+        assert builds == [g.embedding.vertex_count()], size
+    builds.clear()
+    catalog("cube-plus-diagonals")
+    assert builds == [8, 14]

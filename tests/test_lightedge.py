@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oneplane.generators import catalog
+from oneplane.generators import GeneratorParams, catalog, random_oneplane
 from oneplane.lightedge import (
     BOUNDS,
     COUNTEREXAMPLE_CANDIDATE,
@@ -154,3 +154,17 @@ def test_witnesses_equal_the_per_edge_classification(corpus):
                     reference.append(LightEdgeWitness((a, b), degrees, tag))
             reference.sort(key=lambda w: (w.light_type, min(w.degrees), w.edge))
             assert find_light_edges(view, bounds) == reference, (name, bounds)
+
+
+def test_types_sort_by_degree_as_a_number():
+    """Under a table with a two-digit key, a T3 edge still comes first:
+    the type is ranked by its degree, not by its tag as a string, where
+    "T10" sorts before "T3"."""
+    g = random_oneplane(GeneratorParams(0, 301, 0.75))
+    verdict = check_light_edge_guarantee(g, {3: 23, 10: 40})
+    assert verdict.status == WITNESS_FOUND
+    assert {w.light_type for w in verdict.light_edges} == {"T3", "T10"}
+    assert verdict.witness.light_type == "T3"
+    keys = [(min(w.degrees), w.edge) for w in verdict.light_edges]
+    assert keys == sorted(keys)
+    assert check_light_edge_guarantee(g).witness == verdict.witness

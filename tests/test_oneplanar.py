@@ -12,6 +12,7 @@ from gadgets import (
     encircled_gadget,
     squeezed_gadget,
 )
+from neighborhoods import crossing_pairs, endpoints, faces
 from oneplane.embedding import MalformedRotation, build_embedding
 from oneplane.generators import (
     GenerationFailed,
@@ -108,7 +109,7 @@ def test_embedding_owns_its_rotation_table(seq, via_drawing):
     assert emb.degrees == fresh.degrees
     assert all(emb.corner_faces(v) == fresh.corner_faces(v) for v in emb.vertices)
     assert dumps(g) == dumps(source)
-    assert len(set(crossing_neighborhoods(g))) == 1  # endpoints are hashable
+    assert len(set(crossing_neighborhoods(g))) == 1  # corner records are hashable
 
 
 def test_plane_triangulation_validates_clean():
@@ -254,13 +255,13 @@ def test_crossing_neighborhoods_on_k5():
     assert len(hoods) == 1
     hood = hoods[0]
     assert hood.false_vertex == 5
-    assert hood.endpoints[0] == min(hood.endpoints)
-    assert hood.crossing_pairs() == frozenset({frozenset({0, 2}), frozenset({1, 3})})
-    assert all(0 <= f < g.embedding.face_count() for f in hood.faces)
+    assert endpoints(hood)[0] == min(endpoints(hood))
+    assert crossing_pairs(hood) == frozenset({frozenset({0, 2}), frozenset({1, 3})})
+    assert all(0 <= f < g.embedding.face_count() for f in faces(hood))
     # each listed face joins consecutive endpoints
     for i in range(4):
-        tails = set(g.embedding.face_tails(hood.faces[i]))
-        assert {hood.false_vertex, hood.endpoints[i], hood.endpoints[(i + 1) % 4]} <= tails
+        tails = set(g.embedding.face_tails(faces(hood)[i]))
+        assert {hood.false_vertex, endpoints(hood)[i], endpoints(hood)[(i + 1) % 4]} <= tails
 
 
 def test_plane_drawing_has_no_neighborhoods():
@@ -283,7 +284,7 @@ def test_cube_plus_diagonals_has_six_neighborhoods():
     g = catalog("cube-plus-diagonals")
     hoods = crossing_neighborhoods(g)
     assert len(hoods) == 6
-    pairs = {p for h in hoods for p in h.crossing_pairs()}
+    pairs = {p for h in hoods for p in crossing_pairs(h)}
     assert len(pairs) == 12  # two fresh diagonals per cube face
 
 
@@ -321,12 +322,12 @@ def test_crossing_edge_on_two_triangles_flagged():
 
 def test_neighborhood_invariant_under_rotation_of_stored_lists():
     g = catalog("k6-three-crossings")
-    base = {h.false_vertex: h.crossing_pairs() for h in crossing_neighborhoods(g)}
+    base = {h.false_vertex: crossing_pairs(h) for h in crossing_neighborhoods(g)}
     rot = {v: list(r) for v, r in g.embedding.rotation.items()}
     for v in g.false_vertices:  # rotating the stored list keeps the embedding
         rot[v] = rot[v][2:] + rot[v][:2]
     g2 = build_drawing(rot, g.false_vertices)
-    assert {h.false_vertex: h.crossing_pairs() for h in crossing_neighborhoods(g2)} == base
+    assert {h.false_vertex: crossing_pairs(h) for h in crossing_neighborhoods(g2)} == base
 
 
 @given(st.integers(0, 10_000))
