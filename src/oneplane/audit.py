@@ -112,12 +112,6 @@ class AuditReport:
     def passed(self) -> bool:
         return self.conserved and all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> CheckOutcome:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(f"no audit gate named {name!r}")
-
 
 TWO_THIRDS = Fraction(2, 3)
 ONE_THIRD = Fraction(1, 3)

@@ -67,9 +67,10 @@ Residual splits in R7/R8 may move a negative balance; those transfers
 keep the face as their source and carry the signed per-recipient share.
 Zero-amount transfers are never recorded.
 
-The rule amounts are module constants, built once. While the rules run,
-each element's charge is an integer [numerator, denominator] pair,
-starting at [degree - 4, 1]. A transfer adds its amount's numerator to
+The rule amounts are module constants, built once, and within a run
+each R5 amount is built once per degree. While the rules run, each
+element's charge is an integer [numerator, denominator] pair, starting
+at [degree - 4, 1]. A transfer adds its amount's numerator to
 the target's pair and subtracts it from the source's. Where the
 denominators differ, both numerators are scaled to their lcm first, so a
 pair's denominator stays the lcm of the amounts that reached it. The
@@ -91,6 +92,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -99,8 +101,8 @@ from .oneplanar import (
     AssociatedPlaneGraph,
     CrossingNeighborhood,
     crossing_neighborhoods,
+    crossing_segments,
     is_false_triangle,
-    recover_original,
 )
 
 # An element of the charge ledger: ("v", vertex id) or ("f", face index).
@@ -215,14 +217,20 @@ class SpecialFace:
 
 
 def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
-    """All (false 3-face, pivot) records, trying both true corners."""
-    deg = g.embedding.degrees
-    fdeg = g.embedding.face_degrees
+    """All (false 3-face, pivot) records, trying both true corners.
+
+    The original graph is not recovered: an original edge between two
+    true vertices is a dart of the embedding or a crossing segment. A
+    drawing that does not straighten cleanly raises what
+    `recover_original` raises."""
+    emb = g.embedding
+    deg, fdeg, darts = emb.degrees, emb.face_degrees, emb.face_of
     false = g.false_vertices
     hoods = crossing_neighborhoods(g)
     if not hoods:
         return []
-    view = recover_original(g)
+    crossed = set(crossing_segments(g))
+    crossed.update([(b, a) for a, b in crossed])
     records = []
     for hood in hoods:
         for near_a, near_b, far_a, far_b, f in hood.corners:
@@ -237,9 +245,12 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
                 k = deg[pivot]
                 if k not in SPECIAL_PARTNER_BOUND or pivot in false:
                     continue
-                if not view.has_edge(partner, pivot_far):
+                if deg[partner_far] > SPECIAL_PARTNER_BOUND[k]:
                     continue
-                if deg[partner_far] <= SPECIAL_PARTNER_BOUND[k]:
+                if partner in false or pivot_far in false:
+                    continue
+                link = (partner, pivot_far)
+                if link in darts or link in crossed:
                     records.append(SpecialFace(f, pivot, k, partner))
     records.sort(key=lambda s: (s.face, s.pivot))
     return records
@@ -278,26 +289,34 @@ def _phase_a(
         if s.k == 4:
             transfers.append(Transfer("R1", at_vertex[s.pivot], at_face[s.face], R1_AMOUNT))
 
+    # each vertex's corner faces, in `corner_faces` order, are read
+    # through one map over the dart table
+    face_of, rot = emb.face_of, emb.rotation
+    r5: dict[int, Fraction] = {}  # one R5 amount per degree
     for v in emb.vertices:
-        if v in false:
-            continue
         d = deg[v]
+        if d < 5 or v in false:
+            continue
         src = at_vertex[v]
+        r = rot[v]
+        corners = map(face_of.__getitem__, zip(repeat(v), r[1:] + r[:1]))
         if d == 5 or d == 6:
             # a 3-face occupies exactly one corner of each of its
             # vertices, so no dedup is needed
             rule, special_amt, plain_amt = R2_R3_AMOUNTS[d]
-            for f in emb.corner_faces(v):
+            for f in corners:
                 if fdeg[f] == 3:
                     amt = special_amt if (v, f) in pivot_keys else plain_amt
                     transfers.append(Transfer(rule, src, at_face[f], amt))
         elif d == 7:
-            for f in emb.corner_faces(v):
+            for f in corners:
                 if is_false_triangle(g, f):
                     transfers.append(Transfer("R4", src, at_face[f], R4_AMOUNT))
-        elif d >= 8:
-            amt = Fraction(d - 4, d)
-            for f in emb.corner_faces(v):
+        else:
+            amt = r5.get(d)
+            if amt is None:
+                amt = r5[d] = Fraction(d - 4, d)
+            for f in corners:
                 transfers.append(Transfer("R5", src, at_face[f], amt))
 
     for hood in crossing_neighborhoods(g):

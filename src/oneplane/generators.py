@@ -295,7 +295,7 @@ def random_oneplane(params: GeneratorParams) -> AssociatedPlaneGraph:
         target = int(params.crossing_density * len(walks))
 
         used_pairs: set[frozenset[int]] = {
-            frozenset((u, v)) for u, r in rotation.items() for v in r
+            frozenset((u, v)) for u, r in rotation.items() for v in r if u < v
         }
         order = list(range(len(walks)))
         rng.shuffle(order)

@@ -10,23 +10,28 @@ cannot occur in a crossing-minimal drawing.
 
 Straightening works on the rotation at a false vertex: its four
 neighbors pair up opposite positions, so a crossing with rotation
-(a, b, c, d) stands for the two original edges a-c and b-d. Recovery
-follows each such segment through any further false vertices it meets,
-defensively, even though adjacent false vertices are themselves a
-validation violation.
+(a, b, c, d) stands for the two original edges a-c and b-d. In a valid
+drawing every neighbor of a false vertex is true, so each segment is
+read straight off that rotation, with no walk. Only a segment with a
+false end, in a drawing that `validate` rejects for adjacent false
+vertices, is followed through the further false vertices it meets.
 
-`validate` does work in proportion to the crossings: it walks the
+`validate` does work in proportion to the crossings: it reads the
 crossing segments alone, derived once per drawing, and tests each
 against the embedding's darts and the earlier segments. The recovered
 edge list, the direct edges between true vertices plus the segments, is
-built on the first `recover_original`. Recovery refuses a false vertex
-whose degree is not 4, through the check the crossing neighborhoods
-share, so every dart at a true vertex straightens into exactly one
-recovered edge and the recovered degrees are the embedding's own.
+built on the first `recover_original`; the discharging engine does not
+build it, since an original edge between two true vertices is a dart of
+the embedding or a crossing segment (`crossing_segments`). Recovery
+refuses a false vertex whose degree is not 4, through the check the
+crossing neighborhoods share, so every dart at a true vertex straightens
+into exactly one recovered edge and the recovered degrees are the
+embedding's own.
 
 Each crossing's four corner records are derived once, with its
-neighborhood, from the false vertex's rotation and `corner_faces`; the
-discharging engine and the audit read them and derive no corner again.
+neighborhood, from the false vertex's rotation and the faces of its
+darts; the discharging engine and the audit read them and derive no
+corner again.
 Vertex ids, neighbors and false-vertex marks must be ints.
 """
 
@@ -49,10 +54,11 @@ class RecoveredMultiEdge(ValueError):
 @dataclass(frozen=True)
 class AssociatedPlaneGraph:
     """A plane embedding plus the set of vertices marking crossings. The
-    sorted false vertices, the straightening, the recovered original
-    graph (read through `recover_original`) and the crossing
-    neighborhoods (through `crossing_neighborhoods`) are derived once
-    per drawing, on first use."""
+    sorted false vertices, the straightening (whose segments are read
+    through `crossing_segments`), the recovered original graph (through
+    `recover_original`) and the crossing neighborhoods (through
+    `crossing_neighborhoods`) are derived once per drawing, on first
+    use."""
 
     embedding: PlaneEmbedding
     false_vertices: frozenset[int]
@@ -81,23 +87,28 @@ class AssociatedPlaneGraph:
     def _neighborhoods(self) -> list[CrossingNeighborhood]:
         self._check_false_degrees()
         emb = self.embedding
+        face_of = emb.face_of
         out: list[CrossingNeighborhood] = []
         for f in self.sorted_false_vertices:
-            r, c = emb.rotation[f], emb.corner_faces(f)
+            r = emb.rotation[f]
             k = r.index(min(r))
-            e = r[k:] + r[:k]
-            corners = tuple(zip(e, e[1:] + e[:1], e[2:] + e[:2], e[3:] + e[:3], c[k:] + c[:k]))
-            out.append(CrossingNeighborhood(f, corners))  # type: ignore[arg-type]
+            a, b, c, d = r[k:] + r[:k]
+            # the corner between two neighbors is the face of the dart
+            # from f to the second
+            corners = (
+                (a, b, c, d, face_of[f, b]),
+                (b, c, d, a, face_of[f, c]),
+                (c, d, a, b, face_of[f, d]),
+                (d, a, b, c, face_of[f, a]),
+            )
+            out.append(CrossingNeighborhood(f, corners))
         return out
 
     @cached_property
     def _original(self) -> OriginalGraphView:
         """Derived once per drawing, on first use, for `recover_original`.
         An invalid drawing caches nothing and raises on every access."""
-        self._check_false_degrees()
-        segments, problems = self._straightened
-        if problems:
-            raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
+        segments = crossing_segments(self)
         emb, false = self.embedding, self.false_vertices
         rot, deg = emb.rotation, emb.degrees
         vertices = tuple(v for v in emb.vertices if v not in false)
@@ -151,9 +162,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def kinds(self) -> set[str]:
-        return {v.kind for v in self.violations}
-
 
 # Violation kinds produced by validate().
 FALSE_DEGREE = "false-vertex-degree"
@@ -196,42 +204,54 @@ def _straighten(
     """The crossing segments, as ordered pairs in segment order, and the
     violations straightening finds.
 
-    Only the crossings are walked; the direct edges are read from the
-    embedding's dart table. A segment with equal endpoints is a loop,
-    and one whose pair is a direct edge or an earlier segment is a
-    multi-edge: direct edges never repeat one another, because
-    `build_embedding` rejects repeated neighbors. Segment walks that
-    cycle through false vertices are violations and produce no segment;
-    so do, unreported, walks that meet a false vertex of degree other
-    than 4, which validate() flags on its own. The cycles are reported
-    first, then the loops and multi-edges, each in segment order.
+    The direct edges are read from the embedding's dart table. A
+    crossing with rotation r reads its segments (r0, r2) and (r1, r3)
+    directly when both ends are true, as they are in a valid drawing.
+    Only a segment with a false end, which `validate` flags as adjacent
+    false vertices, is walked through `_follow_segment`, and a walk
+    found again from another false vertex on it is skipped; a directly
+    read segment has one false vertex, so no other finds it. A segment
+    with equal endpoints is a loop, and one whose pair is a direct edge
+    or an earlier segment is a multi-edge: direct edges never repeat one
+    another, because `build_embedding` rejects repeated neighbors.
+    Segment walks that cycle through false vertices are violations and
+    produce no segment; so do, unreported, walks that meet a false
+    vertex of degree other than 4, which validate() flags on its own.
+    The cycles are reported first, then the loops and multi-edges, each
+    in segment order.
     """
     rot = g.embedding.rotation
     darts = g.embedding.face_of
+    false = g.false_vertices
     problems: list[Violation] = []
     named: list[Violation] = []  # loops and multi-edges
     segments: list[tuple[int, int]] = []
     seen_paths: set[tuple[int, ...]] = set()
     seen_pairs: set[tuple[int, int]] = set()
     for f in g.sorted_false_vertices:
-        if len(rot[f]) != 4:
+        r = rot[f]
+        if len(r) != 4:
             continue  # reported separately by validate()
         for axis in (0, 1):
-            half_a = _follow_segment(g, f, rot[f][axis])
-            half_b = _follow_segment(g, f, rot[f][axis + 2])
-            if half_a is None or half_b is None:
-                problems.append(
-                    Violation(FALSE_CYCLE, (f,), "crossing segment cycles through false vertices")
-                )
-                continue
-            if not half_a or not half_b:
-                continue
-            path = tuple(reversed(half_a)) + half_b[1:]
-            key = min(path, path[::-1])
-            if key in seen_paths:
-                continue  # same segment discovered from another false vertex on it
-            seen_paths.add(key)
-            a, b = path[0], path[-1]
+            a, b = r[axis], r[axis + 2]
+            if a in false or b in false:
+                half_a = _follow_segment(g, f, a)
+                half_b = _follow_segment(g, f, b)
+                if half_a is None or half_b is None:
+                    problems.append(
+                        Violation(
+                            FALSE_CYCLE, (f,), "crossing segment cycles through false vertices"
+                        )
+                    )
+                    continue
+                if not half_a or not half_b:
+                    continue
+                path = tuple(reversed(half_a)) + half_b[1:]
+                key = min(path, path[::-1])
+                if key in seen_paths:
+                    continue  # same segment discovered from another false vertex on it
+                seen_paths.add(key)
+                a, b = path[0], path[-1]
             pair = (a, b) if a < b else (b, a)
             segments.append(pair)
             if a == b:
@@ -272,7 +292,10 @@ class OriginalGraphView:
 
     The set of `edges` is derived once, on the first `has_edge` call. A
     lookup tries the pair both ways round, so it takes constant time and
-    agrees with `edges` however each pair is ordered.
+    agrees with `edges` however each pair is ordered. No code in the
+    package calls `has_edge`: the discharging engine reads the original
+    adjacency from the embedding's darts and `crossing_segments`. It is
+    kept for callers of the view and as the tests' reference.
     """
 
     vertices: tuple[int, ...]
@@ -306,6 +329,18 @@ def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
     degrees of the true vertices, and which callers must not modify.
     """
     return g._original
+
+
+def crossing_segments(g: AssociatedPlaneGraph) -> tuple[tuple[int, int], ...]:
+    """The original edges that cross, one ordered pair per crossing
+    segment, in segment order; every call on a drawing returns the same
+    tuple. Raises what `recover_original` raises, on every call, when
+    the drawing does not straighten cleanly."""
+    g._check_false_degrees()
+    segments, problems = g._straightened
+    if problems:
+        raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
+    return segments
 
 
 @dataclass(frozen=True)

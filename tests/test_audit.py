@@ -25,6 +25,7 @@ from oneplane.discharging import (
 )
 from oneplane.generators import GeneratorParams, catalog, catalog_names, random_oneplane
 from oneplane.oneplanar import build_drawing
+from reports import gate
 from test_acceptance import R6_SAMPLES
 
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
@@ -63,8 +64,8 @@ def test_routing_margin_is_exactly_one_at_the_tight_band():
     assert flow.inflow == 2 * flow.outflow * 5  # comfortably above 2x
     balance = report.face_flow[flow.face]
     assert balance.received_heavy == balance.sent_via_false + 1
-    assert report.check("face-balance").passed
-    assert report.check("crossing-margin").passed
+    assert gate(report, "face-balance").passed
+    assert gate(report, "crossing-margin").passed
 
 
 def test_margin_tight_cases_across_bands():
@@ -80,7 +81,7 @@ def test_triangle_pays_three_vertex_exactly_two_thirds():
     g = triangle_payment_gadget(3, 24)
     final, transfers = apply_discharging(g)
     report = audit(g, final, transfers)
-    check = report.check("triangle-pays-3-vertex")
+    check = gate(report, "triangle-pays-3-vertex")
     assert check.instances == 1
     assert check.passed
     triangle = next(
@@ -99,7 +100,7 @@ def test_triangle_pays_four_vertex_exactly_one_third():
     g = triangle_payment_gadget(4, 12)
     final, transfers = apply_discharging(g)
     report = audit(g, final, transfers)
-    check = report.check("triangle-pays-4-vertex")
+    check = gate(report, "triangle-pays-4-vertex")
     assert check.instances == 1
     assert check.passed
     triangle = next(
@@ -117,7 +118,7 @@ def test_quad_payment_with_true_mid():
     g = quad_payment_gadget(3, 24)
     final, transfers = apply_discharging(g)
     report = audit(g, final, transfers)
-    check = report.check("quad-face-payments")
+    check = gate(report, "quad-face-payments")
     assert check.instances == 1 and check.passed
     quad = next(
         i for i in range(g.embedding.face_count()) if g.embedding.face_degrees[i] == 4
@@ -157,7 +158,7 @@ def test_big_face_payment():
     g = big_face_gadget(9)
     final, transfers = apply_discharging(g)
     report = audit(g, final, transfers)
-    check = report.check("big-face-payments")
+    check = gate(report, "big-face-payments")
     assert check.instances >= 1 and check.passed
     pentagon = next(
         i
@@ -332,6 +333,6 @@ def test_partly_paid_ledgers_are_audited_as_the_oracle_does():
 
 def test_unknown_gate_name_is_a_key_error():
     report, _ = run(build_drawing(K4))
-    assert report.check("conservation").instances == 1
+    assert gate(report, "conservation").instances == 1
     with pytest.raises(KeyError, match="no audit gate named 'nope'"):
-        report.check("nope")
+        gate(report, "nope")

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from gadgets import crossing_gadget, prepaid_big_face_gadget
 from naive_oracle import naive_ledger, naive_run
-from neighborhoods import endpoints, faces
-from oneplane import discharging
 from oneplane.audit import _group_sum, audit
 from oneplane.discharging import (
     R8_PREPAY,
@@ -36,6 +34,7 @@ from oneplane.generators import (
 )
 from oneplane.lightedge import check_light_edge_guarantee
 from oneplane.oneplanar import AssociatedPlaneGraph, build_drawing, crossing_neighborhoods
+from references import sliced_neighborhoods
 from test_acceptance import R6_SAMPLES
 from test_audit import _gadget_drawings
 
@@ -132,13 +131,16 @@ def test_special_face_partner_threshold_boundary():
 
 def test_plane_drawing_needs_no_recovered_graph(monkeypatch):
     # without a crossing there is no special face, and the recovered
-    # graph, a sorted copy of every edge, is never read
+    # graph, a sorted copy of every edge, is never read; with crossings
+    # the engine reads the darts and the crossing segments instead
     def unread(g):
-        raise AssertionError("recover_original called")
+        raise AssertionError("recovered graph read")
 
-    monkeypatch.setattr(discharging, "recover_original", unread)
+    monkeypatch.setattr(AssociatedPlaneGraph, "_original", property(unread))
     assert find_special_faces(catalog("k4")) == []
     assert apply_discharging(catalog("icosahedron"))[1]
+    assert len(find_special_faces(catalog("k5-one-crossing"))) == 8
+    assert apply_discharging(catalog("cube-plus-diagonals"))[1]
 
 
 def test_unlinked_partner_is_not_special():
@@ -186,20 +188,11 @@ def reference_transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int
 
 
 def assert_corners_as_reference(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
-    """Every neighborhood's faces are the false vertex's `corner_faces`
-    rotated to its lowest endpoint, its corner records are read off its
-    endpoints and faces, and the transitive corners are the reference's.
-    Returns the transitive corners, sorted."""
-    emb = g.embedding
-    for hood in crossing_neighborhoods(g):
-        r, c = emb.rotation[hood.false_vertex], emb.corner_faces(hood.false_vertex)
-        k = r.index(min(r))
-        assert endpoints(hood) == r[k:] + r[:k]
-        assert faces(hood) == c[k:] + c[:k]
-        e, fs = endpoints(hood), faces(hood)
-        assert hood.corners == tuple(
-            (e[i], e[(i + 1) % 4], e[(i + 2) % 4], e[(i + 3) % 4], fs[i]) for i in range(4)
-        )
+    """Every neighborhood's corner records are read off its endpoints,
+    the false vertex's rotation turned to its lowest id, and its faces,
+    the false vertex's `corner_faces` turned alike, and the transitive
+    corners are the reference's. Returns the transitive corners, sorted."""
+    assert crossing_neighborhoods(g) == sliced_neighborhoods(g)
     corners = sorted(transitive_corners(g))
     assert corners == reference_transitive_corners(g)
     return corners

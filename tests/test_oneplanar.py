@@ -45,6 +45,7 @@ from oneplane.oneplanar import (
     recover_original,
     validate,
 )
+from reports import violation_kinds
 
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
 # the wheel with hub 0 and rim 1-5
@@ -121,14 +122,14 @@ def test_adjacent_false_vertices_flagged():
     # path 0-1-2-3-4 with 1, 2 marked false (degrees wrong too)
     rot = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2, 4], 4: [3]}
     report = validate(build_drawing(rot, {1, 2}))
-    assert ADJACENT_FALSE in report.kinds()
-    assert FALSE_DEGREE in report.kinds()
+    assert ADJACENT_FALSE in violation_kinds(report)
+    assert FALSE_DEGREE in violation_kinds(report)
 
 
 def test_false_degree_three_flagged():
     rot = {0: [1, 2, 3], 1: [2, 0], 2: [0, 1, 3], 3: [2, 0]}
     report = validate(build_drawing(rot, {0}))
-    assert report.kinds() == {FALSE_DEGREE}
+    assert violation_kinds(report) == {FALSE_DEGREE}
 
 
 def test_segment_into_false_vertex_of_wrong_degree_is_reported():
@@ -136,7 +137,7 @@ def test_segment_into_false_vertex_of_wrong_degree_is_reported():
     # segment from 0 through 1 yields no edge, and nothing is raised
     rot = {0: [1, 2, 3, 4], 1: [0, 4, 2], 2: [0, 1, 3], 3: [0, 2, 4], 4: [0, 3, 1]}
     report = validate(build_drawing(rot, {0, 1}))
-    assert report.kinds() == {FALSE_DEGREE, ADJACENT_FALSE}
+    assert violation_kinds(report) == {FALSE_DEGREE, ADJACENT_FALSE}
 
 
 def test_recover_identity_without_crossings():
@@ -181,19 +182,19 @@ def test_coincident_recovered_edges_raise():
     for _ in range(2):  # a failed recovery is not cached: every call raises
         with pytest.raises(RecoveredMultiEdge):
             recover_original(g)
-    assert RECOVERED_MULTI_EDGE in validate(g).kinds()
+    assert RECOVERED_MULTI_EDGE in violation_kinds(validate(g))
 
 
 def test_crossing_parallel_to_direct_edge_is_a_multi_edge():
     g = build_drawing(*CROSSING_BESIDE_DIRECT_EDGE)
-    assert RECOVERED_MULTI_EDGE in validate(g).kinds()
+    assert RECOVERED_MULTI_EDGE in violation_kinds(validate(g))
     with pytest.raises(RecoveredMultiEdge):
         recover_original(g)
 
 
 def test_false_chain_straightening_to_a_loop():
     g = build_drawing(*FALSE_CHAIN_LOOP)
-    kinds = validate(g).kinds()
+    kinds = violation_kinds(validate(g))
     assert ADJACENT_FALSE in kinds
     assert RECOVERED_LOOP in kinds
     with pytest.raises(RecoveredLoop):
@@ -213,7 +214,7 @@ def test_straightening_loop_and_multi_edge_reported_in_instance_order():
 
 def test_false_vertex_cycle_is_a_plain_value_error():
     g = build_drawing(*FALSE_VERTEX_CYCLE)
-    assert FALSE_CYCLE in validate(g).kinds()
+    assert FALSE_CYCLE in violation_kinds(validate(g))
     with pytest.raises(ValueError, match=FALSE_CYCLE) as err:
         recover_original(g)
     assert type(err.value) is ValueError
@@ -247,6 +248,12 @@ def test_ids_neighbors_and_marks_must_be_ints():
         assert str(err.value) == f"false-vertex mark {mark} is a {kind}, not an integer"
     with pytest.raises(ValueError, match=r"unknown vertices: \[99\]"):
         build_drawing(g.embedding.rotation, {2, 99})
+
+
+def test_marks_may_name_every_vertex():
+    g = build_drawing(K4, set(K4))
+    assert g.false_vertices == frozenset(K4)
+    assert violation_kinds(validate(g)) == {FALSE_DEGREE, ADJACENT_FALSE}
 
 
 def test_crossing_neighborhoods_on_k5():
@@ -305,19 +312,43 @@ def test_diagnostics_clean_on_catalog():
 
 def test_encircled_four_vertex_flagged():
     report = drawing_diagnostics(encircled_gadget())
-    assert ENCIRCLED_4_VERTEX in report.kinds()
+    assert ENCIRCLED_4_VERTEX in violation_kinds(report)
 
 
 def test_squeezed_three_vertex_flagged():
     report = drawing_diagnostics(squeezed_gadget())
-    assert report.kinds() == {SQUEEZED_3_VERTEX}
+    assert violation_kinds(report) == {SQUEEZED_3_VERTEX}
+
+
+def _squeezed_with_a_five_face() -> AssociatedPlaneGraph:
+    """`squeezed_gadget` with its edge 1-4 subdivided by a new vertex 7,
+    which turns the 3-vertex 0's quadrilateral into a 5-face."""
+    rot = {v: list(r) for v, r in squeezed_gadget().embedding.rotation.items()}
+    rot[1][rot[1].index(4)] = 7
+    rot[4][rot[4].index(1)] = 7
+    rot[7] = [1, 4]
+    return build_drawing(rot, {1, 2})
+
+
+def test_squeezed_three_vertex_boundaries():
+    # vertex 0 sits on exactly 2 triangles with exactly 2 false neighbors;
+    # its third corner is a 4-face, which still squeezes it, and a 5-face,
+    # which does not
+    g = squeezed_gadget()
+    assert sorted(g.embedding.face_degrees[f] for f in g.embedding.corner_faces(0)) == [3, 3, 4]
+    assert [str(v) for v in drawing_diagnostics(g).violations] == [
+        "squeezed-3-vertex [0]: 2 triangles, 2 false neighbors, no 5+-face"
+    ]
+    g = _squeezed_with_a_five_face()
+    assert sorted(g.embedding.face_degrees[f] for f in g.embedding.corner_faces(0)) == [3, 3, 5]
+    assert drawing_diagnostics(g).ok
 
 
 def test_crossing_edge_on_two_triangles_flagged():
     g = doubly_triangular_gadget()
     assert validate(g).ok  # valid, just not crossing-minimal
     report = drawing_diagnostics(g)
-    assert CROSSING_EDGE_ON_TWO_TRIANGLES in report.kinds()
+    assert CROSSING_EDGE_ON_TWO_TRIANGLES in violation_kinds(report)
 
 
 def test_neighborhood_invariant_under_rotation_of_stored_lists():
