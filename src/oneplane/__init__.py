@@ -3,7 +3,6 @@ run an exact-rational discharging argument as an auditable ledger."""
 
 from .audit import AuditReport, audit
 from .discharging import (
-    ChargeState,
     SpecialFace,
     Transfer,
     apply_discharging,

@@ -40,16 +40,9 @@ The audit collects the amounts of each group (a face's heavy income and
 routed outflow, a (face, routing vertex) pair's outflow, a transitive
 corner's income and a (face, vertex) payment) and sums each group once,
 so every reported value is exact. Payments are summed only for the
-(face, vertex) pairs a payment gate owes: the face pass decides each
-gate from degrees and records what it owes, and one pass over the R7
-and R8 transfers to vertices then collects the owed pairs' amounts.
-Most groups are empty or hold one amount, which is read directly;
-longer groups are summed with `discharging.exact_sum`. Values are the engine's `Fraction`s, one per
-distinct value within a run, and signs are read from their integer
-numerators. The face flows and every face-indexed gate come from one
-pass over the faces. The pi+ income is read at `transitive_corners`,
-the corner records each crossing neighborhood derives once, the same
-records the engine's R6 routing reads; no face walk is scanned for them.
+(face, vertex) pairs a payment gate owes. The pi+ income is read at
+`transitive_corners`, the same corner records the engine's R6 routing
+reads.
 """
 
 from __future__ import annotations
@@ -61,7 +54,6 @@ from fractions import Fraction
 
 from .discharging import (
     ZERO,
-    ChargeState,
     Element,
     Transfer,
     exact_sum,
@@ -132,11 +124,11 @@ def _group_sum(values: Sequence[Fraction]) -> Fraction:
 
 
 def audit(
-    g: AssociatedPlaneGraph, final: ChargeState, transfers: list[Transfer]
+    g: AssociatedPlaneGraph, final: dict[Element, Fraction], transfers: list[Transfer]
 ) -> AuditReport:
     deg = g.embedding.degrees
     initial = initial_total(g)
-    final_total = final.total()
+    final_total = exact_sum(final.values())
 
     # amounts per group, each group summed once below
     received_heavy: defaultdict[int, list[Fraction]] = defaultdict(list)
@@ -183,7 +175,7 @@ def audit(
     # the sign through the integer numerator: `charge < 0` would run an
     # ABC isinstance check per element
     negative = tuple(
-        sorted((el, charge) for el, charge in final.charges.items() if charge.numerator < 0)
+        sorted((el, charge) for el, charge in final.items() if charge.numerator < 0)
     )
 
     return AuditReport(
@@ -229,7 +221,7 @@ def _face_pass(
         owed.extend((name, i, v, floor) for v in dict.fromkeys(due))
 
     face_flow: dict[int, FaceFlow] = {}
-    for i, d in enumerate(emb.face_degrees):
+    for i, (d, tails) in enumerate(zip(emb.face_degrees, emb.faces)):
         got = _group_sum(received_heavy.get(i, ()))
         out = _group_sum(sent_via.get(i, ()))
         face_flow[i] = FaceFlow(got, out)
@@ -244,7 +236,6 @@ def _face_pass(
                     f"f{i}: received {got}, needs routed out {out} plus 1"
                 )
 
-        tails = emb.face_tails(i)
         if d == 3:
             for j, v in enumerate(tails):
                 if v in false:

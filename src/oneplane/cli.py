@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import graphio
 from .audit import audit as run_audit
-from .discharging import apply_discharging, element_label, initial_total, ledger_lines
+from .discharging import apply_discharging, element_label, exact_sum, initial_total, ledger_lines
 from .embedding import Disconnected, MalformedRotation, NotPlane
 from .generators import GenerationFailed, GeneratorParams, catalog, catalog_names, random_oneplane
 from .lightedge import HYPOTHESIS_UNMET, WITNESS_FOUND, check_light_edge_guarantee
@@ -255,7 +255,7 @@ def _cmd_light_edges(args, g) -> int:
 @_on_valid_drawing
 def _cmd_discharge(args, g) -> int:
     final, transfers = apply_discharging(g)
-    initial, final_total = initial_total(g), final.total()
+    initial, final_total = initial_total(g), exact_sum(final.values())
     rule_counts: dict[str, int] = {}
     for t in transfers:
         rule_counts[t.rule] = rule_counts.get(t.rule, 0) + 1

@@ -59,28 +59,18 @@ per (v, corner), covering both orientations of the stated rule:
 A face only ever sends through a false vertex whose two neighbors on
 that face both have degree at least 9 (a transitive false vertex); this
 is forced by the m >= 9 requirement above. The corners are the records
-each crossing neighborhood derives once: `find_special_faces`, the R6
-routing and `transitive_corners` (the audit's corners) read the same
-records, and `transitive_corners` lists them in crossing order.
+each crossing neighborhood derives once; the special faces, the R6
+routing and the audit's transitive corners all read them.
 
 Residual splits in R7/R8 may move a negative balance; those transfers
 keep the face as their source and carry the signed per-recipient share.
 Zero-amount transfers are never recorded.
 
-The rule amounts are module constants, built once, and within a run
-each R5 amount is built once per degree. While the rules run, each
-element's charge is an integer [numerator, denominator] pair, starting
-at [degree - 4, 1]. A transfer adds its amount's numerator to
-the target's pair and subtracts it from the source's. Where the
-denominators differ, both numerators are scaled to their lcm first, so a
-pair's denominator stays the lcm of the amounts that reached it. The
-R7/R8 shares and the final charges come from a dict local to the run,
-so there is one `Fraction` per distinct value within a run: the values
-repeat heavily (a 6000-spoke wheel's 12002 final charges hold 4). Totals
-are taken with `exact_sum`, which adds integer numerators per
-denominator and builds one `Fraction` per distinct denominator.
-`ledger_lines` renders each distinct amount object's text once and sorts
-with a C-level key.
+While the rules run, each element's charge is an integer
+[numerator, denominator] pair (see `_apply`), and the R7/R8 shares and
+the final charges are built through one memo per run, so there is one
+`Fraction` per distinct value within a run: the values repeat heavily
+(a 6000-spoke wheel's 12002 final charges hold 4).
 
 A run builds one element tuple per vertex and one per face. Every
 transfer's source and target and every key of the final charges is one
@@ -92,7 +82,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -156,14 +145,6 @@ class Transfer(NamedTuple):
     via: int | None = None
 
 
-@dataclass(frozen=True)
-class ChargeState:
-    charges: dict[Element, Fraction]
-
-    def total(self) -> Fraction:
-        return exact_sum(self.charges.values())
-
-
 def exact_sum(values: Iterable[Fraction]) -> Fraction:
     """The exact sum of `values`, equal to `sum(values, Fraction(0))`.
 
@@ -191,11 +172,11 @@ def _initial_excess(g: AssociatedPlaneGraph) -> dict[Element, int]:
     return excess
 
 
-def initial_charges(g: AssociatedPlaneGraph) -> ChargeState:
+def initial_charges(g: AssociatedPlaneGraph) -> dict[Element, Fraction]:
     """Charge degree - 4 on every vertex and face; the total is -8."""
     excess = _initial_excess(g)
     exact = {k: Fraction(k) for k in set(excess.values())}
-    return ChargeState({el: exact[k] for el, k in excess.items()})
+    return {el: exact[k] for el, k in excess.items()}
 
 
 def initial_total(g: AssociatedPlaneGraph) -> Fraction:
@@ -289,17 +270,13 @@ def _phase_a(
         if s.k == 4:
             transfers.append(Transfer("R1", at_vertex[s.pivot], at_face[s.face], R1_AMOUNT))
 
-    # each vertex's corner faces, in `corner_faces` order, are read
-    # through one map over the dart table
-    face_of, rot = emb.face_of, emb.rotation
     r5: dict[int, Fraction] = {}  # one R5 amount per degree
     for v in emb.vertices:
         d = deg[v]
         if d < 5 or v in false:
             continue
         src = at_vertex[v]
-        r = rot[v]
-        corners = map(face_of.__getitem__, zip(repeat(v), r[1:] + r[:1]))
+        corners = emb.corner_faces(v)
         if d == 5 or d == 6:
             # a 3-face occupies exactly one corner of each of its
             # vertices, so no dedup is needed
@@ -401,8 +378,8 @@ def _apply(charges: dict[Element, list[int]], transfers: list[Transfer]) -> None
             pair[1] = pair[1] // k * d
 
 
-def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transfer]]:
-    """Run all rules and return the final state plus the full ledger."""
+def apply_discharging(g: AssociatedPlaneGraph) -> tuple[dict[Element, Fraction], list[Transfer]]:
+    """Run all rules and return the final charges plus the full ledger."""
     emb = g.embedding
     deg = emb.degrees
     fdeg = emb.face_degrees
@@ -421,8 +398,7 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     # R7 and R8 in one pass over the faces; see the module docstring
     r7: list[Transfer] = []
     r8: list[Transfer] = []
-    for i, d in enumerate(fdeg):
-        tails = emb.face_tails(i)
+    for i, (d, tails) in enumerate(zip(fdeg, emb.faces)):
         src = at_face[i]
         n, den = charges[src]
         if d <= 4:
@@ -443,7 +419,7 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[ChargeState, list[Transf
     transfers.extend(late)
 
     final = {el: _exact(memo, n, d) for el, (n, d) in charges.items()}
-    return ChargeState(final), transfers
+    return final, transfers
 
 
 # Export order: rule, source, target, via, amount. In the engine's ledgers

@@ -1,12 +1,16 @@
 """Rotation systems and the sphere embeddings they induce.
 
 A rotation system records, for every vertex, the cyclic order of its
-neighbors. Tracing directed edges through these rotations recovers the
-faces: the successor of the directed edge (u, v) is (v, w), where w
-follows u in the rotation at v. The walks so obtained partition the set
-of directed edges, and the system describes a sphere embedding exactly
-when V - E + F = 2. Anything else is rejected. A build derives a table
-of these successors once, so it runs in time linear in V + E.
+neighbors. Tracing directed edges (darts) through these rotations
+recovers the faces: the successor of the dart (u, v) is (v, w), where w
+follows u in the rotation at v. The walks so obtained partition the
+darts, and the system describes a sphere embedding exactly when
+V - E + F = 2. Anything else is rejected. A build derives a table of
+these successors once, so it runs in time linear in V + E.
+
+A face is stored once, as its vertex walk: the tails of its darts in
+walk order. The darts of a walk w are `zip(w, w[1:] + w[:1])`, and
+`face_of` maps each dart back to its face.
 
 A rotation is a plain dict from each vertex to a sequence of its
 neighbors. `build_embedding` copies it once, into a dict of tuples,
@@ -22,16 +26,16 @@ fails does the per-dart scan run, to name the first fault in table
 order, as it would have alone. Rotation faults come before
 disconnection, and disconnection before a failed Euler test.
 
-Face indexing is deterministic: walks are discovered and anchored at
-their lexicographically smallest directed edge, so rebuilding from equal
-rotations always yields identical face lists.
+Face indexing is deterministic: faces are numbered in the order of
+their least darts, and each walk starts at the tail of its least dart,
+so rebuilding from equal rotations always yields identical faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 HalfEdge = tuple[int, int]
 
@@ -55,18 +59,16 @@ class PlaneEmbedding:
     `rotation` maps each vertex to its neighbors in cyclic
     counterclockwise order, one tuple per vertex. It is the embedding's
     own table, copied at build; callers must not modify it. Each face
-    is a closed walk of directed edges; `face_of` maps every directed
-    edge to the index of the unique face walk containing it.
-    Boundary walks carry multiplicity: a bridge contributes both of its
-    directions to the same face, and a cut vertex may appear several
-    times on one walk. The sorted `vertices`, the vertex `degrees`, the
-    `face_degrees` and the face tails, read through `face_tails(i)`, are
-    derived once, on first use; the hot loops of the discharging engine
-    and the audit index these tables.
+    is its vertex walk, the tails of its darts in walk order; `face_of`
+    maps every dart to the index of the unique face containing it.
+    Walks carry multiplicity: a bridge puts both of its directions on
+    the same face, and a cut vertex may appear several times on one
+    walk. The sorted `vertices`, the vertex `degrees` and the
+    `face_degrees` are derived once, on first use.
     """
 
     rotation: dict[int, tuple[int, ...]]
-    faces: tuple[tuple[HalfEdge, ...], ...]
+    faces: tuple[tuple[int, ...], ...]
     face_of: dict[HalfEdge, int] = field(repr=False)
 
     @cached_property
@@ -81,11 +83,7 @@ class PlaneEmbedding:
     @cached_property
     def face_degrees(self) -> tuple[int, ...]:
         """Face index -> length of its walk."""
-        return tuple(len(walk) for walk in self.faces)
-
-    @cached_property
-    def _face_tails(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(t for t, _ in walk) for walk in self.faces)
+        return tuple(map(len, self.faces))
 
     def vertex_count(self) -> int:
         return len(self.rotation)
@@ -96,16 +94,12 @@ class PlaneEmbedding:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def face_tails(self, i: int) -> tuple[int, ...]:
-        """Vertices along face i, with multiplicity, in walk order."""
-        return self._face_tails[i]
-
     def corner_faces(self, v: int) -> tuple[int, ...]:
         """Faces around v in rotation order, one per corner, with
         multiplicity: the i-th lies between the i-th and (i+1)-th
         neighbors."""
         r = self.rotation[v]
-        return tuple(self.face_of[v, u] for u in r[1:] + r[:1])
+        return tuple(map(self.face_of.__getitem__, zip(repeat(v), r[1:] + r[:1])))
 
 
 def _check_rotation(table: dict[int, tuple[int, ...]], succ: dict[int, dict[int, int]]) -> None:
@@ -151,19 +145,19 @@ def _check_connected(table: dict[int, tuple[int, ...]]) -> None:
 
 def _trace_faces(
     table: dict[int, tuple[int, ...]], succ: dict[int, dict[int, int]]
-) -> tuple[list[tuple[HalfEdge, ...]], dict[HalfEdge, int]]:
+) -> tuple[list[tuple[int, ...]], dict[HalfEdge, int]]:
     face_of: dict[HalfEdge, int] = {}
-    faces: list[tuple[HalfEdge, ...]] = []
+    faces: list[tuple[int, ...]] = []
     for u in sorted(table):
         for v in sorted(table[u]):
             start = cur = (u, v)
             if start in face_of:
                 continue
-            walk: list[HalfEdge] = []
+            walk: list[int] = []
             while True:
                 face_of[cur] = len(faces)
-                walk.append(cur)
                 tail, head = cur
+                walk.append(tail)
                 cur = (head, succ[head][tail])
                 if cur == start:
                     break

@@ -165,7 +165,7 @@ def quadrangulation_diagonals(
             raise ValueError(f"face index {i} is repeated")
         seen.add(i)
 
-    walks = [emb.face_tails(i) for i in selected]
+    walks = [emb.faces[i] for i in selected]
     for i, walk in zip(selected, walks):
         if len(set(walk)) != 4:
             raise NotQuadrangulation(f"face {i} repeats a vertex: {walk}")

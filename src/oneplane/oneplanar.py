@@ -378,7 +378,7 @@ ENCIRCLED_4_VERTEX = "encircled-4-vertex"
 def is_false_triangle(g: AssociatedPlaneGraph, face: int) -> bool:
     """Whether `face` is a 3-face with a false vertex on it."""
     emb = g.embedding
-    return emb.face_degrees[face] == 3 and any(t in g.false_vertices for t in emb.face_tails(face))
+    return emb.face_degrees[face] == 3 and any(t in g.false_vertices for t in emb.faces[face])
 
 
 def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:

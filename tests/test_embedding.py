@@ -19,6 +19,19 @@ from oneplane.embedding import (
 
 TRIANGLE = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
+def walk_darts(walk):
+    """The darts of a stored vertex walk, in walk order."""
+    return list(zip(walk, walk[1:] + walk[:1]))
+
+
+def assert_walks_partition_darts(emb):
+    """The darts of the walks partition `face_of`'s keys, and each maps
+    to its own face."""
+    walked = [(d, i) for i, w in enumerate(emb.faces) for d in walk_darts(w)]
+    assert len(walked) == len(emb.face_of) == 2 * emb.edge_count()
+    assert dict(walked) == emb.face_of
+
+
 CUBE = {
     0: [1, 4, 3], 1: [2, 5, 0], 2: [3, 6, 1], 3: [0, 7, 2],
     4: [5, 7, 0], 5: [6, 4, 1], 6: [2, 7, 5], 7: [6, 3, 4],
@@ -44,7 +57,7 @@ def test_k4_faces_match_independent_tracer():
     assert sorted(emb.face_degrees[i] for i in range(4)) == [3, 3, 3, 3]
     assert euler_characteristic(emb) == 2
     oracle = naive_faces({v: tuple(r) for v, r in K4.items()})
-    assert [list(w) for w in emb.faces] == oracle
+    assert [walk_darts(w) for w in emb.faces] == oracle
 
 
 def test_cube_euler_and_faces():
@@ -52,13 +65,14 @@ def test_cube_euler_and_faces():
     assert emb.vertex_count() - emb.edge_count() + emb.face_count() == 8 - 12 + 6
     assert sorted(emb.face_degrees[i] for i in range(6)) == [4] * 6
     oracle = naive_faces({v: tuple(r) for v, r in CUBE.items()})
-    assert [list(w) for w in emb.faces] == oracle
+    assert [walk_darts(w) for w in emb.faces] == oracle
 
 
 def test_face_walks_partition_half_edges():
     emb = build_embedding(K4)
-    walked = [d for walk in emb.faces for d in walk]
+    walked = [d for walk in emb.faces for d in walk_darts(walk)]
     assert len(walked) == len(set(walked)) == 2 * emb.edge_count()
+    assert_walks_partition_darts(emb)
     assert sum(emb.face_degrees[i] for i in range(emb.face_count())) == 2 * emb.edge_count()
 
 
@@ -74,7 +88,7 @@ def assert_matches_oracle(rotation):
     the independent tracer."""
     emb = build_embedding(rotation)
     oracle = naive_faces(emb.rotation)
-    assert [list(w) for w in emb.faces] == oracle
+    assert [walk_darts(w) for w in emb.faces] == oracle
     assert list(emb.face_of.items()) == [(d, i) for i, w in enumerate(oracle) for d in w]
 
 
@@ -249,8 +263,9 @@ def test_tracing_invariants_on_random_rotations(rotation):
     except NotPlane:
         return
     assert euler_characteristic(emb) == 2
-    walked = [d for walk in emb.faces for d in walk]
+    walked = [d for walk in emb.faces for d in walk_darts(walk)]
     assert len(walked) == len(set(walked)) == 2 * emb.edge_count()
+    assert_walks_partition_darts(emb)
     again = build_embedding(rotation)
     assert again.faces == emb.faces
     assert_matches_oracle(rotation)

@@ -267,7 +267,7 @@ def test_crossing_neighborhoods_on_k5():
     assert all(0 <= f < g.embedding.face_count() for f in faces(hood))
     # each listed face joins consecutive endpoints
     for i in range(4):
-        tails = set(g.embedding.face_tails(faces(hood)[i]))
+        tails = set(g.embedding.faces[faces(hood)[i]])
         assert {hood.false_vertex, endpoints(hood)[i], endpoints(hood)[(i + 1) % 4]} <= tails
 
 
