@@ -6,32 +6,37 @@ in seven gates, reported in this order and under these names:
 
 - `conservation`: the final total equals the initial total.
 - `face-balance`: the charge a face received by R5 from its incident
-  9+-vertices (rho+) covers the charge it routed out by R6 through
-  transitive false vertices (rho-): rho+ >= rho- on every 4+-face, and
-  rho+ >= rho- + 1 on every triangle with rho- > 0.
+  9+-vertices (rho+; 9 = `HEAVY[6]`, R6's least m) covers the charge it
+  routed out by R6 through transitive false vertices (rho-): rho+ >=
+  rho- on every 4+-face, and rho+ >= rho- + 1 on every triangle with
+  rho- > 0.
 - `crossing-margin`: per (face, routing vertex), the R5 income from the
   routing vertex's two heavy face-neighbors (pi+) is at least twice
   the amount routed out through it (pi-) whenever pi- > 0.
 - `triangle-pays-3-vertex`: a triangle pays its true 3-vertex at least
-  2/3 when the other two corners have degree at least 24.
+  2/3 when the other two corners have degree at least 24 = `HEAVY[3]`.
 - `triangle-pays-4-vertex`: a triangle pays its true 4-vertex at least
-  1/3 when the other two corners have degree at least 12.
+  1/3 when the other two corners have degree at least 12 = `HEAVY[4]`.
 - `quad-face-payments`: a 4-face with at most one false vertex is
   anchored by a true vertex whose true face-neighbors are heavy. If the
   face has a 3-vertex, the anchor is a 3-vertex, heavy means degree at
   least 24, and every incident true vertex of degree at most 4 gets at
   least 5/12. Otherwise the anchor is a 4-vertex, heavy means degree at
-  least 12, and every incident true 4-vertex gets at least 1/3.
+  least 12, and every incident true 4-vertex gets at least 1/3. Heavy
+  is `HEAVY[anchor]`.
 - `big-face-payments`: a 5+-face pays each incident true 4-vertex at
   least 1/3 when at most half of its boundary positions hold 3-vertices
   or true 4-vertices.
 
 The four payment gates (the last four) are gated on the degree
 hypotheses that make them provable for every valid drawing, not only
-for extremal ones. Gates that match nothing are recorded with an
-instance count of zero, never failed. A triangle gate counts one
-instance per (face, vertex), the other face gates one per face, and
-`crossing-margin` one per (face, routing vertex) with income or outflow.
+for extremal ones. Every degree threshold is read from
+`lightedge.HEAVY`: with no light edge, each neighbor of a k-vertex has
+degree at least `HEAVY[k]` = `BOUNDS[k]` + 1. Gates that match nothing
+are recorded with an instance count of zero, never failed. A triangle
+gate counts one instance per (face, vertex), the other face gates one
+per face, and `crossing-margin` one per (face, routing vertex) with
+income or outflow.
 
 Final-charge nonnegativity is deliberately not asserted: negative final
 charges are possible on ordinary inputs and are merely reported.
@@ -60,12 +65,13 @@ from .discharging import (
     initial_total,
     transitive_corners,
 )
+from .lightedge import HEAVY
 from .oneplanar import AssociatedPlaneGraph
 
 
 @dataclass(frozen=True)
 class FaceFlow:
-    received_heavy: Fraction  # from incident 9+-vertices, by R5
+    received_heavy: Fraction  # from incident 9+-vertices (HEAVY[6]), by R5
     sent_via_false: Fraction  # routed out through transitive false vertices, by R6
 
 
@@ -109,9 +115,12 @@ TWO_THIRDS = Fraction(2, 3)
 ONE_THIRD = Fraction(1, 3)
 FIVE_TWELFTHS = Fraction(5, 12)
 
-# The triangle gates: (degree of the paid vertex, least degree of the
-# two other corners, floor).
-_TRIANGLE_GATES = ((3, 24, TWO_THIRDS), (4, 12, ONE_THIRD))
+# The triangle gates: (degree k of the paid vertex, least degree
+# HEAVY[k] of the two other corners, floor).
+_TRIANGLE_GATES = ((3, HEAVY[3], TWO_THIRDS), (4, HEAVY[4], ONE_THIRD))
+# The quad gate by degree k of its anchor: (least degree HEAVY[k] of the
+# anchor's true face-neighbors, floor, degrees of the paid vertices).
+_QUAD_GATES = {3: (HEAVY[3], FIVE_TWELFTHS, (1, 2, 3, 4)), 4: (HEAVY[4], ONE_THIRD, (4,))}
 
 
 def _group_sum(values: Sequence[Fraction]) -> Fraction:
@@ -127,6 +136,7 @@ def audit(
     g: AssociatedPlaneGraph, final: dict[Element, Fraction], transfers: list[Transfer]
 ) -> AuditReport:
     deg = g.embedding.degrees
+    heavy = HEAVY[6]
     initial = initial_total(g)
     final_total = exact_sum(final.values())
 
@@ -138,7 +148,7 @@ def audit(
     for t in transfers:
         rule = t.rule
         if rule == "R5":
-            if deg[t.source[1]] >= 9:
+            if deg[t.source[1]] >= heavy:
                 received_heavy[t.target[1]].append(t.amount)
         elif rule.startswith("R6"):
             f = t.source[1]
@@ -151,7 +161,7 @@ def audit(
 
     # pi+, per (face, routing vertex), over its transitive corners; the
     # R5 amount (d-4)/d is built once per degree
-    r5 = {d: Fraction(d - 4, d) for d in set(deg.values()) if d >= 9}
+    r5 = {d: Fraction(d - 4, d) for d in set(deg.values()) if d >= heavy}
     income: defaultdict[tuple[int, int], list[Fraction]] = defaultdict(list)
     for i, prev, v, nxt in transitive_corners(g):
         income[i, v] += (r5[deg[prev]], r5[deg[nxt]])
@@ -246,10 +256,8 @@ def _face_pass(
                         pays(f"triangle-pays-{degree}-vertex", i, (v,), floor)
         elif d == 4 and sum(1 for t in tails if t in false) <= 1:
             # a false vertex has degree 4, so a 3-vertex is always true
-            if any(deg[t] == 3 for t in tails):
-                anchor, bound, floor, due = 3, 24, FIVE_TWELFTHS, (1, 2, 3, 4)
-            else:
-                anchor, bound, floor, due = 4, 12, ONE_THIRD, (4,)
+            anchor = 3 if any(deg[t] == 3 for t in tails) else 4
+            bound, floor, due = _QUAD_GATES[anchor]
             if any(
                 v not in false
                 and deg[v] == anchor

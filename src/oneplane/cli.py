@@ -35,6 +35,8 @@ import functools
 import gc
 import json
 import sys
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 from . import graphio
@@ -118,12 +120,8 @@ def _text_lines(report: dict, prefix: str = "") -> list[str]:
         if isinstance(value, dict):
             lines.append(f"{prefix}{key}:")
             lines.extend(_text_lines(value, prefix + "  "))
-        elif isinstance(value, list) and all(not isinstance(x, (dict, list)) for x in value):
-            if all(isinstance(x, (int, float)) for x in value):
-                lines.append(f"{prefix}{key}: {value}")
-            else:
-                lines.append(f"{prefix}{key} ({len(value)}):")
-                lines.extend(f"{prefix}  {item}" for item in value)
+        elif isinstance(value, list) and all(isinstance(x, (int, float)) for x in value):
+            lines.append(f"{prefix}{key}: {value}")
         elif isinstance(value, list):
             lines.append(f"{prefix}{key} ({len(value)}):")
             for item in value:
@@ -256,9 +254,6 @@ def _cmd_light_edges(args, g) -> int:
 def _cmd_discharge(args, g) -> int:
     final, transfers = apply_discharging(g)
     initial, final_total = initial_total(g), exact_sum(final.values())
-    rule_counts: dict[str, int] = {}
-    for t in transfers:
-        rule_counts[t.rule] = rule_counts.get(t.rule, 0) + 1
     doc = {
         "command": "discharge",
         "input": args.input,
@@ -266,7 +261,7 @@ def _cmd_discharge(args, g) -> int:
         "final_total": str(final_total),
         "conserved": final_total == initial,
         "transfers": len(transfers),
-        "rule_counts": dict(sorted(rule_counts.items())),
+        "rule_counts": dict(sorted(Counter(map(itemgetter(0), transfers)).items())),
     }
     if args.ledger:
         Path(args.ledger).write_text("\n".join(ledger_lines(transfers)) + "\n", encoding="utf-8")

@@ -35,15 +35,19 @@ lists every R7 transfer before every R8 transfer:
 A false 3-face {v, p, q} with v false is k-special with pivot p when
 p has degree k in {4, 5, 6}, q is adjacent in the original graph to the
 far endpoint of p's crossing edge, and the far endpoint of q's crossing
-edge has degree at most 11 / 9 / 8 for k = 4 / 5 / 6. Both true corners
-of the face are tried as pivots, and R1-R3 pay once per pivot record.
+edge has degree at most 11 / 9 / 8 for k = 4 / 5 / 6: the light-edge
+bound `BOUNDS[k]`. Both true corners of the face are tried as pivots,
+and R1-R3 pay once per pivot record.
 
 R6 in detail. Around a false vertex v with rotation (n0, n1, n2, n3) the
 original edges pair opposite neighbors. For each corner face f at v
 between consecutive neighbors A, B, write a and b for the neighbors
 opposite A and B, and m = min(deg(A), deg(B)). The sub-rule is chosen by
 the band of m, as listed in the table `R6_BANDS`, and fires at most once
-per (v, corner), covering both orientations of the stated rule:
+per (v, corner), covering both orientations of the stated rule. The
+bands start at `HEAVY[3..6]` = 24 / 12 / 10 / 9, that is 23 + 1,
+11 + 1, 9 + 1 and 8 + 1: with no light edge, the neighbors of a
+k-vertex have degree at least `HEAVY[k]`.
 
   R6.1  m >= 24: if deg(a) = deg(b) = 3, f sends 1/6 through v to each
         of the two adjacent corner faces and to a and b; if exactly one
@@ -57,10 +61,10 @@ per (v, corner), covering both orientations of the stated rule:
   R6.4  m = 9: amounts 1/18, 1/9 and 5/18, same shape.
 
 A face only ever sends through a false vertex whose two neighbors on
-that face both have degree at least 9 (a transitive false vertex); this
-is forced by the m >= 9 requirement above. The corners are the records
-each crossing neighborhood derives once; the special faces, the R6
-routing and the audit's transitive corners all read them.
+that face both have degree at least 9 = `HEAVY[6]` (a transitive false
+vertex); this is forced by the m >= 9 requirement above. The corners
+are the records each crossing neighborhood derives once; the special
+faces, the R6 routing and the audit's transitive corners all read them.
 
 Residual splits in R7/R8 may move a negative balance; those transfers
 keep the face as their source and carry the signed per-recipient share.
@@ -86,6 +90,7 @@ from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
+from .lightedge import BOUNDS, HEAVY
 from .oneplanar import (
     AssociatedPlaneGraph,
     CrossingNeighborhood,
@@ -97,7 +102,9 @@ from .oneplanar import (
 # An element of the charge ledger: ("v", vertex id) or ("f", face index).
 Element = tuple[str, int]
 
-SPECIAL_PARTNER_BOUND = {4: 11, 5: 9, 6: 8}
+# Pivot degree -> largest degree of the partner's far end: the light-edge
+# bounds of degrees 4 to 6, {4: 11, 5: 9, 6: 8}.
+SPECIAL_PARTNER_BOUND = {k: BOUNDS[k] for k in (4, 5, 6)}
 
 ZERO = Fraction(0)
 R1_AMOUNT = Fraction(1, 6)
@@ -110,15 +117,16 @@ R2_R3_AMOUNTS = {
 R4_AMOUNT = Fraction(1, 2)
 R8_PREPAY = Fraction(2, 3)
 
-# R6 bands, highest first: (least m, rule, amounts). R6.1 amounts are
-# (each of four targets, each of two targets); R6.2-R6.4 amounts are
-# (3-face sender to both faces, 3-face sender to one face, 4+-face
-# sender to each face). Below the last band nothing is routed.
+# R6 bands, highest first: (least m, rule, amounts). The leasts are
+# HEAVY[3..6] = 24, 12, 10, 9. R6.1 amounts are (each of four targets,
+# each of two targets); R6.2-R6.4 amounts are (3-face sender to both
+# faces, 3-face sender to one face, 4+-face sender to each face). Below
+# the last band nothing is routed.
 R6_BANDS = (
-    (24, "R6.1", (Fraction(1, 6), Fraction(1, 3))),
-    (12, "R6.2", (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3))),
-    (10, "R6.3", (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))),
-    (9, "R6.4", (Fraction(1, 18), Fraction(1, 9), Fraction(5, 18))),
+    (HEAVY[3], "R6.1", (Fraction(1, 6), Fraction(1, 3))),
+    (HEAVY[4], "R6.2", (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3))),
+    (HEAVY[5], "R6.3", (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))),
+    (HEAVY[6], "R6.4", (Fraction(1, 18), Fraction(1, 9), Fraction(5, 18))),
 )
 
 
@@ -239,17 +247,19 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
 
 def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
     """(face, previous tail, false vertex, next tail) for every corner of
-    a crossing whose two bounding endpoints have degree at least 9, read
-    from the stored corner records, in crossing order: false vertices in
-    vertex order, each one's corners in rotation order. The face walk
-    enters the false vertex from the first bounding endpoint and leaves
-    it toward the second."""
+    a crossing whose two bounding endpoints have degree at least
+    9 = `HEAVY[6]`, the least m of R6, read from the stored corner
+    records, in crossing order: false vertices in vertex order, each
+    one's corners in rotation order. The face walk enters the false
+    vertex from the first bounding endpoint and leaves it toward the
+    second."""
     deg = g.embedding.degrees
+    heavy = HEAVY[6]
     return [
         (f, near_a, hood.false_vertex, near_b)
         for hood in crossing_neighborhoods(g)
         for near_a, near_b, _, _, f in hood.corners
-        if deg[near_a] >= 9 and deg[near_b] >= 9
+        if deg[near_a] >= heavy and deg[near_b] >= heavy
     ]
 
 

@@ -19,6 +19,11 @@ from .oneplanar import AssociatedPlaneGraph, OriginalGraphView, recover_original
 # Smaller endpoint degree -> largest allowed partner degree.
 BOUNDS: Mapping[int, int] = {3: 23, 4: 11, 5: 9, 6: 8, 7: 7}
 
+# With no light edge, every neighbor of a k-vertex has degree at least
+# HEAVY[k]. The discharging rules' degree bands and the audit's degree
+# gates are these numbers.
+HEAVY: Mapping[int, int] = {k: b + 1 for k, b in BOUNDS.items()}
+
 
 def classify_edge(a: int, b: int, bounds: Mapping[int, int] = BOUNDS) -> str | None:
     """Light type of an edge with endpoint degrees a and b, or None.

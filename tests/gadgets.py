@@ -73,6 +73,27 @@ def crossing_gadget(
     return _built(rot, {2})
 
 
+def closed_crossing_gadget(
+    corner_a_degree: int, corner_b_degree: int, far_a_degree: int, far_b_degree: int
+) -> AssociatedPlaneGraph:
+    """`crossing_gadget`'s triangle sender, with edges B-C and A-D closing
+    the two far-side corners into triangles, so the corner faces past
+    the far ends C and D are two different faces. The fourth corner,
+    between C and D, is the outer face, where every leaf goes."""
+    rot: dict[int, list[int]] = {
+        0: [1, 2, 4],       # A: B, v, D
+        1: [3, 2, 0],       # B: C, v, A
+        2: [0, 1, 3, 4],    # v: crossing pairs {A, C} and {B, D}
+        3: [2, 1],          # C: v, B
+        4: [0, 2],          # D: A, v
+    }
+    _attach_leaves(rot, 0, corner_a_degree - 3)
+    _attach_leaves(rot, 1, corner_b_degree - 3)
+    _attach_leaves(rot, 3, far_a_degree - 2)
+    _attach_leaves(rot, 4, far_b_degree - 2)
+    return _built(rot, {2})
+
+
 def triangle_payment_gadget(small_degree: int, heavy_degree: int) -> AssociatedPlaneGraph:
     """True triangle {t=0, X=1, Y=2} with deg(t) = small_degree and
     deg(X) = deg(Y) = heavy_degree."""

@@ -8,6 +8,7 @@ import pytest
 
 from gadgets import (
     big_face_gadget,
+    closed_crossing_gadget,
     crossing_gadget,
     doubly_triangular_gadget,
     prepaid_big_face_gadget,
@@ -212,6 +213,10 @@ def _gadget_drawings():
         for far in ((1, 1), (3, 3), (3, 7), (4, 6), (6, 4), (7, 7)):
             for sender in ("triangle", "quad"):
                 out.append(crossing_gadget(m, m + 1, *far, sender))
+        # the corner faces past the two far ends are two triangles, so
+        # the R6 targets past far end a and past far end b differ
+        for far in ((3, 3), (3, 7), (7, 3)):
+            out.append(closed_crossing_gadget(m, m + 1, *far))
     for k in (4, 5, 6):
         for far_b in (3, 8, 9, 11, 12):
             out.append(crossing_gadget(k, 9, 3, far_b, link_partner_far=True))

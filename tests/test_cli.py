@@ -238,6 +238,9 @@ def test_gen_is_byte_identical(tmp_path):
 def test_gen_rejects_unsatisfiable_parameters(capsys):
     assert main(["gen", "--seed", "1", "--size", "4", "--density", "1.0"]) == 1
     assert "generation failed" in capsys.readouterr().err
+    # a density outside [0, 1] is refused before any drawing is grown
+    assert main(["gen", "--seed", "1", "--size", "12", "--density", "1.5"]) == 1
+    assert "generation failed: crossing density" in capsys.readouterr().err
 
 
 def test_catalog_round_trips_through_cli(tmp_path, capsys):

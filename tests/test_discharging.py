@@ -14,7 +14,9 @@ from gadgets import crossing_gadget, prepaid_big_face_gadget
 from naive_oracle import naive_ledger, naive_run
 from oneplane.audit import _group_sum, audit
 from oneplane.discharging import (
+    R6_BANDS,
     R8_PREPAY,
+    SPECIAL_PARTNER_BOUND,
     apply_discharging,
     element_label,
     exact_sum,
@@ -32,7 +34,7 @@ from oneplane.generators import (
     catalog_names,
     random_oneplane,
 )
-from oneplane.lightedge import check_light_edge_guarantee
+from oneplane.lightedge import HEAVY, check_light_edge_guarantee
 from oneplane.oneplanar import AssociatedPlaneGraph, build_drawing, crossing_neighborhoods
 from references import sliced_neighborhoods
 from test_acceptance import R6_SAMPLES
@@ -86,6 +88,14 @@ def test_audit_group_sum_equals_fraction_sum(values):
     assert total == sum(values, Fraction(0))
     if len(values) == 1:
         assert total is values[0]
+
+
+def test_degree_thresholds_derive_from_the_bound_table():
+    # the oracle writes these numbers out, so its ledger equalities check
+    # the derivation; this pins the three tables themselves
+    assert HEAVY == {3: 24, 4: 12, 5: 10, 6: 9, 7: 8}
+    assert SPECIAL_PARTNER_BOUND == {4: 11, 5: 9, 6: 8}
+    assert tuple(least for least, _, _ in R6_BANDS) == (24, 12, 10, 9)
 
 
 def test_initial_charges_on_plane_k4():

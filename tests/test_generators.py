@@ -102,8 +102,12 @@ def test_bad_face_indices_rejected_before_any_fill():
 
 def test_non_quadrangulation_rejected():
     k4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
-    with pytest.raises(NotQuadrangulation):
+    with pytest.raises(NotQuadrangulation, match="face 0 has degree 3"):
         quadrangulation_diagonals(k4)
+    # a path has one face, (0, 1, 2, 1): degree 4, but it repeats vertex 1
+    path = {0: [1], 1: [0, 2], 2: [1]}
+    with pytest.raises(NotQuadrangulation, match="face 0 repeats a vertex"):
+        quadrangulation_diagonals(path)
 
 
 def test_generation_is_deterministic():
@@ -128,9 +132,12 @@ def test_too_tight_parameters_fail():
         random_oneplane(GeneratorParams(1, 4, 1.0))
 
 
-def test_size_below_four_rejected():
-    with pytest.raises(ValueError):
+def test_out_of_range_parameters_rejected():
+    with pytest.raises(ValueError, match="size must be at least 4"):
         random_oneplane(GeneratorParams(1, 3, 0.0))
+    for density in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="crossing density must lie in"):
+            random_oneplane(GeneratorParams(1, 12, density))
 
 
 @given(st.integers(0, 10_000), st.integers(4, 40), st.sampled_from([0.0, 0.25, 0.5]))
