@@ -73,33 +73,31 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="oneplane", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    def drawing_command(name, run, summary):
+        p = command(name, run, summary)
         p.add_argument("input", help="graph JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        return p
 
-    p = sub.add_parser("validate", help="check the crossing structure")
-    common(p)
-
-    p = sub.add_parser("recover", help="recover the original graph")
-    common(p)
-
-    p = sub.add_parser("light-edges", help="list light edges and the guarantee verdict")
-    common(p)
-
-    p = sub.add_parser("discharge", help="run the discharging rules")
-    common(p)
+    drawing_command("validate", _cmd_validate, "check the crossing structure")
+    drawing_command("recover", _cmd_recover, "recover the original graph")
+    drawing_command("light-edges", _cmd_light_edges, "list light edges and the guarantee verdict")
+    p = drawing_command("discharge", _cmd_discharge, "run the discharging rules")
     p.add_argument("--ledger", metavar="PATH", help="write the transfer ledger here")
+    drawing_command("audit", _cmd_audit, "discharge and audit the ledger")
 
-    p = sub.add_parser("audit", help="discharge and audit the ledger")
-    common(p)
-
-    p = sub.add_parser("gen", help="generate a seeded random drawing")
+    p = command("gen", _cmd_gen, "generate a seeded random drawing")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
 
-    p = sub.add_parser("catalog", help="emit a fixed catalog drawing")
+    p = command("catalog", _cmd_catalog, "emit a fixed catalog drawing")
     p.add_argument("name", choices=catalog_names())
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
 
@@ -136,12 +134,12 @@ def _text_lines(report: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _validation_doc(args, g, rep) -> dict:
+def _validation_doc(args, g, violations=()) -> dict:
     return {
         "command": args.command,
         "input": args.input,
-        "valid": rep.ok,
-        "violations": [str(v) for v in rep.violations],
+        "valid": not violations,
+        "violations": [str(v) for v in violations],
         "diagnostics": [str(v) for v in drawing_diagnostics(g).violations],
     }
 
@@ -155,13 +153,6 @@ def _load(path: str):
         raise graphio.GraphFormatError(str(err)) from None
 
 
-def _cmd_validate(args) -> int:
-    g = _load(args.input)
-    rep = validate(g)
-    _emit(_validation_doc(args, g, rep), args.format)
-    return EX_OK if rep.ok else EX_INVALID
-
-
 def _on_valid_drawing(command):
     """Run `command(args, g)` on the input drawing g when it is valid;
     otherwise print its validation report under the command's name and
@@ -171,11 +162,17 @@ def _on_valid_drawing(command):
         g = _load(args.input)
         rep = validate(g)
         if not rep.ok:
-            _emit(_validation_doc(args, g, rep), args.format)
+            _emit(_validation_doc(args, g, rep.violations), args.format)
             return EX_INVALID
         return command(args, g)
 
     return run
+
+
+@_on_valid_drawing
+def _cmd_validate(args, g) -> int:
+    _emit(_validation_doc(args, g), args.format)
+    return EX_OK
 
 
 @_on_valid_drawing
@@ -319,17 +316,6 @@ def _write_drawing(g, out: str | None) -> int:
     return EX_OK
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "recover": _cmd_recover,
-    "light-edges": _cmd_light_edges,
-    "discharge": _cmd_discharge,
-    "audit": _cmd_audit,
-    "gen": _cmd_gen,
-    "catalog": _cmd_catalog,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -343,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except graphio.GraphFormatError as err:
         print(f"input error at byte {err.byte_offset}: {err}", file=sys.stderr)
         return EX_DATA

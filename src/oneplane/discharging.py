@@ -215,13 +215,10 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     emb = g.embedding
     deg, fdeg, darts = emb.degrees, emb.face_degrees, emb.face_of
     false = g.false_vertices
-    hoods = crossing_neighborhoods(g)
-    if not hoods:
-        return []
     crossed = set(crossing_segments(g))
     crossed.update([(b, a) for a, b in crossed])
     records = []
-    for hood in hoods:
+    for hood in crossing_neighborhoods(g):
         for near_a, near_b, far_a, far_b, f in hood.corners:
             if fdeg[f] != 3:
                 continue

@@ -139,38 +139,22 @@ def _fill_faces(
     return build_drawing(rotation, frozenset(range(first, first + len(walks))))
 
 
-def quadrangulation_diagonals(
-    q: dict[int, list[int] | tuple[int, ...]], faces: list[int] | None = None
-) -> AssociatedPlaneGraph:
-    """Fill quadrilateral faces with crossing diagonal pairs.
+def quadrangulation_diagonals(q: dict[int, list[int] | tuple[int, ...]]) -> AssociatedPlaneGraph:
+    """Fill every face of a quadrangulation with a crossing diagonal pair.
 
-    By default every face of the quadrangulation is filled; pass face
-    indices to fill a subset. Raises ValueError naming a repeated or
-    out-of-range index before any face is filled, NotQuadrangulation if
-    any face is not a 4-walk over distinct vertices, and propagates
-    simplicity violations from validation as RecoveredMultiEdge-kind
-    errors.
+    Raises NotQuadrangulation if any face is not a 4-walk over distinct
+    vertices, and propagates simplicity violations from validation as
+    RecoveredMultiEdge-kind errors.
     """
     emb = build_embedding(q)
     for i, d in enumerate(emb.face_degrees):
         if d != 4:
             raise NotQuadrangulation(f"face {i} has degree {d}")
-    count = emb.face_count()
-    selected = list(range(count)) if faces is None else list(faces)
-    seen: set[int] = set()
-    for i in selected:
-        if not 0 <= i < count:
-            raise ValueError(f"face index {i} is out of range: the embedding has {count} faces")
-        if i in seen:
-            raise ValueError(f"face index {i} is repeated")
-        seen.add(i)
-
-    walks = [emb.faces[i] for i in selected]
-    for i, walk in zip(selected, walks):
+    for i, walk in enumerate(emb.faces):
         if len(set(walk)) != 4:
             raise NotQuadrangulation(f"face {i} repeats a vertex: {walk}")
 
-    g = _fill_faces({v: list(r) for v, r in emb.rotation.items()}, walks)
+    g = _fill_faces({v: list(r) for v, r in emb.rotation.items()}, list(emb.faces))
     report = validate(g)
     if not report.ok:
         raise RecoveredMultiEdge("; ".join(str(v) for v in report.violations))

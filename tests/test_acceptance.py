@@ -17,7 +17,8 @@ from gadgets import crossing_gadget
 from naive_oracle import naive_ledger
 from oneplane.audit import audit
 from oneplane.discharging import apply_discharging, exact_sum, initial_charges, ledger_lines
-from oneplane.generators import quadrangulation_diagonals
+from oneplane.embedding import build_embedding
+from oneplane.generators import _fill_faces
 from oneplane.lightedge import (
     COUNTEREXAMPLE_CANDIDATE,
     WITNESS_FOUND,
@@ -101,7 +102,8 @@ def test_every_qualifying_instance_has_a_witness(corpus):
     assert {"T3", "T4", "T5", "T6"} <= seen_types, seen_types
     # the quadrilateral construction realizes the degree-3 type directly
     c4 = {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0]}
-    k4_witnesses = find_light_edges(recover_original(quadrangulation_diagonals(c4, faces=[0])))
+    k4 = _fill_faces({v: list(r) for v, r in c4.items()}, [build_embedding(c4).faces[0]])
+    k4_witnesses = find_light_edges(recover_original(k4))
     assert {w.light_type for w in k4_witnesses} == {"T3"}
 
 

@@ -60,8 +60,17 @@ def test_unknown_catalog_name():
         catalog("nosuch")
 
 
+def _fill_some(q, indices):
+    """`q` with the faces at `indices` filled, through the fill step
+    that `quadrangulation_diagonals` runs on every face."""
+    emb = build_embedding(q)
+    return generators._fill_faces(
+        {v: list(r) for v, r in emb.rotation.items()}, [emb.faces[i] for i in indices]
+    )
+
+
 def test_four_cycle_single_fill_gives_k4():
-    g = quadrangulation_diagonals(C4, faces=[0])
+    g = _fill_some(C4, [0])
     view = recover_original(g)
     assert len(view.vertices) == 4
     assert len(view.edges) == 6
@@ -84,20 +93,9 @@ def test_cube_fill_is_six_regular():
 
 def test_fill_counts_match_selection():
     cube_rot = catalog("cube").embedding.rotation
-    g = quadrangulation_diagonals(cube_rot, faces=[0, 2, 4])
+    g = _fill_some(cube_rot, [0, 2, 4])
     assert len(g.false_vertices) == 3
     assert len(recover_original(g).edges) == 12 + 2 * 3
-
-
-def test_bad_face_indices_rejected_before_any_fill():
-    # a repeated index (-1 is face 5 on the cube) would fill a face twice
-    # and surface as a misleading NotPlane; 6 is past the cube's last face
-    cube_rot = catalog("cube").embedding.rotation
-    for faces, message in (([0, 0], "face index 0 is repeated"),
-                           ([-1, 5], "face index -1 is out of range"),
-                           ([6], "face index 6 is out of range")):
-        with pytest.raises(ValueError, match=message):
-            quadrangulation_diagonals(cube_rot, faces=faces)
 
 
 def test_non_quadrangulation_rejected():

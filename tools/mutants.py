@@ -1,23 +1,26 @@
-"""Comparison-operator mutation testing of the checker's core modules.
+"""Operator and min/max mutation testing of the checker's core modules.
 
-Each mutant swaps one comparison operator in `discharging`, `audit`,
-`lightedge` or `oneplanar` (`<` and `<=`, `>` and `>=`, `==` and `!=`,
-`in` and `not in`), and the tier-1 suite runs on it with `-x`. A mutant
-the suite fails on is killed; one it passes survives. A survivor must be
+Each mutant makes one edit in `discharging`, `audit`, `lightedge` or
+`oneplanar`: it swaps one comparison operator (`<` and `<=`, `>` and
+`>=`, `==` and `!=`, `in` and `not in`) or the name of one `min` or
+`max` call, and the tier-1 suite runs on it with `-x`. A mutant the
+suite fails on is killed; one it passes survives. A survivor must be
 listed in `tools/equivalent_mutants.txt`, which names the mutants known
 to behave exactly as the original code does, each with its reason.
 Every unlisted survivor is a gap in the tests, and the run exits 1.
 
-Mutants are keyed by module, enclosing function and comparison text
-(the original comparison and its mutated form), not by line number, so
-the list survives edits elsewhere in a module. A key that occurs more
-than once in one function gets a `#2`, `#3`, ... suffix in source order.
+Mutants are keyed by module, enclosing function and the text of the
+mutated expression (the original comparison or call and its mutated
+form), not by line number, so the list survives edits elsewhere in a
+module. A key that occurs more than once in one function gets a `#2`,
+`#3`, ... suffix in source order.
 
 Run it from the repository root as `python tools/mutants.py`. Two
 workers each run the suite in their own copy of `src/`, `tests/` and
 `README.md` in a temporary directory, without bytecode caches and with
-an empty Hypothesis database per mutant. A run of the 116 mutants took
-under five minutes on two cores of a Xeon VM with Python 3.11.
+an empty Hypothesis database per mutant. A run of the 125 mutants took
+about five and a half minutes (328 s) on two cores of a Xeon VM with
+Python 3.11.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ TEXT = {
     ast.In: b"in",
     ast.NotIn: b"not in",
 }
+# called builtins swapped by name
+NAME_SWAP = {"min": "max", "max": "min"}
 SUITE_TIMEOUT_S = 600
 JOBS = 2
 
@@ -81,14 +86,45 @@ class Mutant(NamedTuple):
 
 def _mutants_of(module: str) -> list[Mutant]:
     """Every mutant of one module, in source order. The mutated source
-    differs from the original in the one operator token only."""
+    differs from the original in one operator token or one called name
+    only."""
     path = ROOT / "src" / "oneplane" / f"{module}.py"
     data = path.read_bytes()
     tree = ast.parse(data)
     starts = [0]
     for line in data.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
-    sites: list[tuple[str, ast.Compare, int]] = []
+    # (scope, original, mutated, start byte, end byte, replacement token)
+    edits: list[tuple[str, str, str, int, int, bytes]] = []
+
+    def compare_edits(scope: str, node: ast.Compare) -> None:
+        for i, op in enumerate(node.ops):
+            if type(op) not in SWAP:
+                continue
+            original = ast.unparse(node)
+            node.ops[i] = SWAP[type(op)]()
+            mutated = ast.unparse(node)
+            node.ops[i] = op
+            # byte offsets: the operator lies between its two operands
+            left = node.left if i == 0 else node.comparators[i - 1]
+            right = node.comparators[i]
+            lo = starts[left.end_lineno - 1] + left.end_col_offset
+            hi = starts[right.lineno - 1] + right.col_offset
+            (match,) = re.finditer(TOKEN[type(op)], data[lo:hi])
+            edits.append(
+                (scope, original, mutated, lo + match.start(), lo + match.end(), TEXT[SWAP[type(op)]])
+            )
+
+    def call_edit(scope: str, node: ast.Call) -> None:
+        name = node.func
+        if not (isinstance(name, ast.Name) and name.id in NAME_SWAP):
+            return
+        original = ast.unparse(node)
+        name.id = NAME_SWAP[name.id]
+        mutated = ast.unparse(node)
+        name.id = NAME_SWAP[name.id]
+        lo = starts[name.lineno - 1] + name.col_offset
+        edits.append((scope, original, mutated, lo, lo + len(name.id), NAME_SWAP[name.id].encode()))
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
@@ -96,29 +132,20 @@ def _mutants_of(module: str) -> list[Mutant]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
             if isinstance(child, ast.Compare):
-                sites.extend((inner, child, i) for i, op in enumerate(child.ops) if type(op) in SWAP)
+                compare_edits(inner, child)
+            elif isinstance(child, ast.Call):
+                call_edit(inner, child)
             visit(child, inner)
 
     visit(tree, "<module>")
     mutants = []
     seen: dict[str, int] = {}
-    for scope, node, i in sites:
-        op = node.ops[i]
-        original = ast.unparse(node)
-        node.ops[i] = SWAP[type(op)]()
-        mutated = ast.unparse(node)
-        node.ops[i] = op
+    for scope, original, mutated, lo, hi, token in edits:
         key = f"{module} | {scope} | {original} -> {mutated}"
         seen[key] = seen.get(key, 0) + 1
         if seen[key] > 1:
             key += f" #{seen[key]}"
-        # byte offsets: the operator lies between its two operands
-        left = node.left if i == 0 else node.comparators[i - 1]
-        right = node.comparators[i]
-        lo = starts[left.end_lineno - 1] + left.end_col_offset
-        hi = starts[right.lineno - 1] + right.col_offset
-        (match,) = re.finditer(TOKEN[type(op)], data[lo:hi])
-        source = data[: lo + match.start()] + TEXT[SWAP[type(op)]] + data[lo + match.end() :]
+        source = data[:lo] + token + data[hi:]
         mutants.append(Mutant(key, module, source.decode("utf-8")))
     return mutants
 
