@@ -39,7 +39,6 @@ from .oneplanar import (
     AssociatedPlaneGraph,
     CrossingNeighborhood,
     OriginalGraphView,
-    RecoveredLoop,
     RecoveredMultiEdge,
     build_drawing,
     crossing_neighborhoods,

@@ -211,10 +211,10 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     The original graph is not recovered: an original edge between two
     true vertices is a dart of the embedding or a crossing segment. A
     drawing that does not straighten cleanly raises what
-    `recover_original` raises."""
+    `recover_original` raises; one that does has no two false vertices
+    adjacent, so every corner vertex and far end is true."""
     emb = g.embedding
     deg, fdeg, darts = emb.degrees, emb.face_degrees, emb.face_of
-    false = g.false_vertices
     crossed = set(crossing_segments(g))
     crossed.update([(b, a) for a, b in crossed])
     records = []
@@ -229,11 +229,9 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
                 (near_b, near_a, far_b, far_a),
             ):
                 k = deg[pivot]
-                if k not in SPECIAL_PARTNER_BOUND or pivot in false:
+                if k not in SPECIAL_PARTNER_BOUND:
                     continue
                 if deg[partner_far] > SPECIAL_PARTNER_BOUND[k]:
-                    continue
-                if partner in false or pivot_far in false:
                     continue
                 link = (partner, pivot_far)
                 if link in darts or link in crossed:

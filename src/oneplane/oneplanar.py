@@ -10,11 +10,11 @@ cannot occur in a crossing-minimal drawing.
 
 Straightening works on the rotation at a false vertex: its four
 neighbors pair up opposite positions, so a crossing with rotation
-(a, b, c, d) stands for the two original edges a-c and b-d. In a valid
-drawing every neighbor of a false vertex is true, so each segment is
-read straight off that rotation, with no walk. Only a segment with a
-false end, in a drawing that `validate` rejects for adjacent false
-vertices, is followed through the further false vertices it meets.
+(a, b, c, d) stands for the two original edges a-c and b-d. An edge
+crossed at most once passes through one false vertex, so each segment
+is read straight off that rotation, with no walk. Two adjacent false
+vertices would make an edge crossed twice: every use of the
+straightening refuses such a drawing, and `validate` reports each pair.
 
 `validate` does work in proportion to the crossings: it reads the
 crossing segments alone, derived once per drawing, and tests each
@@ -44,10 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .embedding import PlaneEmbedding, build_embedding
-
-
-class RecoveredLoop(ValueError):
-    """Straightening a crossing produced an edge from a vertex to itself."""
 
 
 class RecoveredMultiEdge(ValueError):
@@ -169,67 +165,34 @@ class ValidationReport:
 # Violation kinds produced by validate().
 FALSE_DEGREE = "false-vertex-degree"
 ADJACENT_FALSE = "adjacent-false-vertices"
-FALSE_CYCLE = "false-vertex-cycle"
-RECOVERED_LOOP = "recovered-loop"
 RECOVERED_MULTI_EDGE = "recovered-multi-edge"
-
-# The exception recover_original raises for the first violation of a kind.
-_RECOVERY_ERRORS = {RECOVERED_LOOP: RecoveredLoop, RECOVERED_MULTI_EDGE: RecoveredMultiEdge}
-
-
-def _follow_segment(g: AssociatedPlaneGraph, start: int, toward: int) -> tuple[int, ...] | None:
-    """Walk straight through false vertices from `start` in direction `toward`.
-
-    Returns the vertex path ending at the first true vertex, None if the
-    walk cycles through false vertices without reaching one, or an empty
-    path if it meets a false vertex whose degree is not 4.
-    """
-    rot = g.embedding.rotation
-    path = [start, toward]
-    prev, cur = start, toward
-    budget = len(rot) + 1
-    while cur in g.false_vertices:
-        if len(rot[cur]) != 4:
-            return ()
-        budget -= 1
-        if budget == 0:
-            return None
-        r = rot[cur]
-        nxt = r[(r.index(prev) + 2) % 4]
-        path.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(path)
-
 
 def _straighten(
     g: AssociatedPlaneGraph,
 ) -> tuple[tuple[tuple[int, int], ...], tuple[Violation, ...]]:
     """The crossing segments, as ordered pairs in segment order, and the
-    violations straightening finds.
+    violations straightening finds: each pair of adjacent false vertices
+    first, in vertex order, then the multi-edges, in segment order.
 
-    The direct edges are read from the embedding's dart table. A
-    crossing with rotation r reads its segments (r0, r2) and (r1, r3)
-    directly when both ends are true, as they are in a valid drawing.
-    Only a segment with a false end, which `validate` flags as adjacent
-    false vertices, is walked through `_follow_segment`, and a walk
-    found again from another false vertex on it is skipped; a directly
-    read segment has one false vertex, so no other finds it. A segment
-    with equal endpoints is a loop, and one whose pair is a direct edge
-    or an earlier segment is a multi-edge: direct edges never repeat one
-    another, because `build_embedding` rejects repeated neighbors.
-    Segment walks that cycle through false vertices are violations and
-    produce no segment; so do, unreported, walks that meet a false
-    vertex of degree other than 4, which validate() flags on its own.
-    The cycles are reported first, then the loops and multi-edges, each
-    in segment order.
+    A crossing with rotation r stands for the segments (r0, r2) and
+    (r1, r3), read straight off r. An edge crossed at most once meets no
+    two false vertices in a row, so a segment with a false end is
+    skipped, not followed: its adjacency is reported, and refuses the
+    drawing. A segment whose pair is a direct edge or an earlier segment
+    is a multi-edge. Direct edges never repeat one another, and a
+    segment's two ends are distinct, because `build_embedding` rejects
+    repeated neighbors. A false vertex whose degree is not 4 yields no
+    segment; validate() reports it on its own.
     """
     rot = g.embedding.rotation
     darts = g.embedding.face_of
     false = g.false_vertices
-    problems: list[Violation] = []
-    named: list[Violation] = []  # loops and multi-edges
+    violations: list[Violation] = []
+    for f in g.sorted_false_vertices:
+        for u in rot[f]:
+            if u in false and f < u:
+                violations.append(Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent"))
     segments: list[tuple[int, int]] = []
-    seen_paths: set[tuple[int, ...]] = set()
     seen_pairs: set[tuple[int, int]] = set()
     for f in g.sorted_false_vertices:
         r = rot[f]
@@ -238,32 +201,16 @@ def _straighten(
         for axis in (0, 1):
             a, b = r[axis], r[axis + 2]
             if a in false or b in false:
-                half_a = _follow_segment(g, f, a)
-                half_b = _follow_segment(g, f, b)
-                if half_a is None or half_b is None:
-                    problems.append(
-                        Violation(
-                            FALSE_CYCLE, (f,), "crossing segment cycles through false vertices"
-                        )
-                    )
-                    continue
-                if not half_a or not half_b:
-                    continue
-                path = tuple(reversed(half_a)) + half_b[1:]
-                key = min(path, path[::-1])
-                if key in seen_paths:
-                    continue  # same segment discovered from another false vertex on it
-                seen_paths.add(key)
-                a, b = path[0], path[-1]
+                continue
             pair = (a, b) if a < b else (b, a)
             segments.append(pair)
-            if a == b:
-                named.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
-            elif pair in darts or pair in seen_pairs:
-                named.append(Violation(RECOVERED_MULTI_EDGE, pair, "recovered edge appears twice"))
+            if pair in darts or pair in seen_pairs:
+                violations.append(
+                    Violation(RECOVERED_MULTI_EDGE, pair, "recovered edge appears twice")
+                )
             else:
                 seen_pairs.add(pair)
-    return tuple(segments), tuple(problems + named)
+    return tuple(segments), tuple(violations)
 
 
 def validate(g: AssociatedPlaneGraph) -> ValidationReport:
@@ -274,17 +221,10 @@ def validate(g: AssociatedPlaneGraph) -> ValidationReport:
     """
     rot = g.embedding.rotation
     violations: list[Violation] = []
-
     for f in g.sorted_false_vertices:
         d = len(rot[f])
         if d != 4:
             violations.append(Violation(FALSE_DEGREE, (f,), f"degree {d}, expected 4"))
-
-    for f in g.sorted_false_vertices:
-        for u in rot[f]:
-            if u in g.false_vertices and f < u:
-                violations.append(Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent"))
-
     violations.extend(g._straightened[1])
     return ValidationReport(tuple(violations))
 
@@ -323,10 +263,11 @@ def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
     Raises a plain ValueError, first, when a false vertex's degree is not
     4 (`crossing_neighborhoods` raises the same error, from the same
     check): such a vertex is no crossing, and straightening would drop
-    its edges. Then raises RecoveredLoop or RecoveredMultiEdge when
-    straightening breaks simplicity, and a plain ValueError when a
-    crossing segment cycles through false vertices. Each signals an
-    invalid drawing, on every call. The straightening is derived once
+    its edges. Then raises a plain ValueError when two false vertices
+    are adjacent, which would make an edge crossed twice, and
+    RecoveredMultiEdge when straightening breaks simplicity; the text is
+    the first such violation `validate` reports. Each signals an invalid
+    drawing, on every call. The straightening is derived once
     per drawing and shared with `validate`; every call on a valid
     drawing returns the same view, whose `degrees` are the embedding's
     degrees of the true vertices, and which callers must not modify.
@@ -342,7 +283,8 @@ def crossing_segments(g: AssociatedPlaneGraph) -> tuple[tuple[int, int], ...]:
     g._check_false_degrees()
     segments, problems = g._straightened
     if problems:
-        raise _RECOVERY_ERRORS.get(problems[0].kind, ValueError)(str(problems[0]))
+        error = RecoveredMultiEdge if problems[0].kind == RECOVERED_MULTI_EDGE else ValueError
+        raise error(str(problems[0]))
     return segments
 
 

@@ -1,70 +1,22 @@
 """The check path's earlier derivations, kept as references.
 
-The package reads each crossing's segments, corner records and original
+The package reads each crossing's corner records and original
 adjacencies straight from the false vertex's rotation and the
-embedding's dart table. These are the derivations it replaced: every
-segment walked through `_follow_segment`, the corner faces sliced from
-`corner_faces`, and the original adjacency read from the recovered
-graph. Tests require the package's results to equal theirs.
+embedding's dart table. These are the derivations it replaced: the
+corner faces sliced from `corner_faces`, and the original adjacency read
+from the recovered graph. Tests require the package's results to equal
+theirs.
 """
 
 from __future__ import annotations
 
 from oneplane.discharging import SPECIAL_PARTNER_BOUND, SpecialFace
 from oneplane.oneplanar import (
-    FALSE_CYCLE,
-    RECOVERED_LOOP,
-    RECOVERED_MULTI_EDGE,
     AssociatedPlaneGraph,
     CrossingNeighborhood,
-    Violation,
-    _follow_segment,
     crossing_neighborhoods,
     recover_original,
 )
-
-
-def walked_straighten(
-    g: AssociatedPlaneGraph,
-) -> tuple[tuple[tuple[int, int], ...], tuple[Violation, ...]]:
-    """`_straighten` with every segment walked: the crossing segments,
-    as ordered pairs in segment order, and the violations, the cycles
-    first, then the loops and multi-edges, each in segment order."""
-    rot = g.embedding.rotation
-    darts = g.embedding.face_of
-    problems: list[Violation] = []
-    named: list[Violation] = []  # loops and multi-edges
-    segments: list[tuple[int, int]] = []
-    seen_paths: set[tuple[int, ...]] = set()
-    seen_pairs: set[tuple[int, int]] = set()
-    for f in g.sorted_false_vertices:
-        if len(rot[f]) != 4:
-            continue  # reported separately by validate()
-        for axis in (0, 1):
-            half_a = _follow_segment(g, f, rot[f][axis])
-            half_b = _follow_segment(g, f, rot[f][axis + 2])
-            if half_a is None or half_b is None:
-                problems.append(
-                    Violation(FALSE_CYCLE, (f,), "crossing segment cycles through false vertices")
-                )
-                continue
-            if not half_a or not half_b:
-                continue
-            path = tuple(reversed(half_a)) + half_b[1:]
-            key = min(path, path[::-1])
-            if key in seen_paths:
-                continue  # same segment discovered from another false vertex on it
-            seen_paths.add(key)
-            a, b = path[0], path[-1]
-            pair = (a, b) if a < b else (b, a)
-            segments.append(pair)
-            if a == b:
-                named.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
-            elif pair in darts or pair in seen_pairs:
-                named.append(Violation(RECOVERED_MULTI_EDGE, pair, "recovered edge appears twice"))
-            else:
-                seen_pairs.add(pair)
-    return tuple(segments), tuple(problems + named)
 
 
 def sliced_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:

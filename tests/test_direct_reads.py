@@ -1,11 +1,14 @@
 """The crossing facts read straight from the rotation equal the references.
 
-`_straighten` reads a segment with two true ends off the false vertex's
-rotation, the corner records read their faces from the dart table, and
+`_straighten` reads each segment off the false vertex's rotation, the
+corner records read their faces from the dart table, and
 `find_special_faces` reads the original adjacency from the darts and the
-crossing segments. `references` keeps the walk, the slicing and the
-recovered-graph lookup they replaced; on valid and invalid drawings
-alike, the results, or the exceptions raised, must be equal, in order.
+crossing segments. The straightening must equal `reference_straighten`,
+and `references` keeps the slicing and the recovered-graph lookup the
+other two replaced; on valid and invalid drawings alike, the results, or
+the exceptions raised, must be equal, in order. A drawing with adjacent
+false vertices, whose edges are crossed more than once, is refused by
+every use of the straightening.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gadgets import encircled_gadget, squeezed_gadget
-from oneplane.discharging import find_special_faces
+from oneplane.discharging import apply_discharging, find_special_faces
 from oneplane.generators import (
     GenerationFailed,
     GeneratorParams,
@@ -26,12 +29,13 @@ from oneplane.generators import (
 from oneplane.oneplanar import (
     ADJACENT_FALSE,
     AssociatedPlaneGraph,
-    _straighten,
     build_drawing,
     crossing_neighborhoods,
+    crossing_segments,
+    recover_original,
     validate,
 )
-from references import recovered_special_faces, sliced_neighborhoods, walked_straighten
+from references import recovered_special_faces, sliced_neighborhoods
 from test_acceptance import R6_SAMPLES
 from test_audit import _gadget_drawings
 from test_oneplanar import (
@@ -42,13 +46,14 @@ from test_oneplanar import (
     K4,
     LOOP_AND_MULTI_EDGE,
     W5,
+    assert_refused_as_adjacent,
+    assert_straightens_as_reference,
 )
 
 # The edge 0-3 crossed by 4-6 at 1 and by 5-7 at 2: the chain 0-1-2-3
-# of adjacent false vertices straightens cleanly. Leaves 8 and 9 lift 0
-# and 4 to degree 4, so the triangle 0-1-4 is special with pivot 4,
-# whose partner 0 has the false vertex 2 as its far end, and is tried
-# with pivot 0, whose own far end is 2.
+# of adjacent false vertices is an edge crossed twice. Leaves 8 and 9
+# lift 0 and 4 to degree 4, so that the triangle 0-1-4 would be special
+# with pivot 4 if the chain were followed.
 CLEAN_FALSE_CHAIN = (
     {
         0: [1, 4, 8, 6], 1: [2, 4, 0, 6], 2: [3, 5, 1, 7], 3: [5, 2, 7],
@@ -71,10 +76,9 @@ CROSSED_LINK = (
     },
     {0, 5},
 )
-# The triangle 0-1-2 at crossing 0, tried with the true 4-vertex 1 as
-# pivot. Its partner 2 is a false vertex with a dart to 3, the far end
-# of 1's crossing edge, and so is not special; both chains straighten
-# cleanly.
+# The triangle 0-1-2 at crossing 0, with the true 4-vertex 1 as a
+# candidate pivot. Its partner 2 is a false vertex adjacent to crossing
+# 0, so the drawing is refused.
 FALSE_PARTNER = (
     {
         0: [3, 2, 1, 4], 1: [0, 2, 6, 7], 2: [1, 0, 5, 3], 3: [2, 5, 0],
@@ -131,18 +135,19 @@ def _outcome(derive, g: AssociatedPlaneGraph):
 def assert_reads_as_references(g: AssociatedPlaneGraph):
     """The straightening, the corner records and the special faces equal
     the references', or raise as they do; returns the special faces."""
-    assert _straighten(g) == walked_straighten(g)
+    assert_straightens_as_reference(g)
     assert _outcome(crossing_neighborhoods, g) == _outcome(sliced_neighborhoods, g)
     specials = _outcome(find_special_faces, g)
     assert specials == _outcome(recovered_special_faces, g)
     return specials
 
 
-def test_a_clean_chain_of_false_vertices_reads_as_the_references():
+def test_a_clean_chain_of_false_vertices_is_refused():
     g = build_drawing(*CLEAN_FALSE_CHAIN)
-    assert [v.kind for v in validate(g).violations] == [ADJACENT_FALSE]
-    records = assert_reads_as_references(g)
-    assert [(s.pivot, s.k, s.partner) for s in records] == [(4, 4, 0)]
+    assert [str(v) for v in validate(g).violations] == [
+        "adjacent-false-vertices [1, 2]: false vertices are adjacent"
+    ]
+    assert assert_reads_as_references(g) == (ValueError, str(validate(g).violations[0]))
 
 
 @pytest.mark.parametrize("rotation, false", HAND_BUILT)
@@ -150,13 +155,13 @@ def test_hand_built_drawings_read_as_the_references(rotation, false):
     assert_reads_as_references(build_drawing(rotation, false))
 
 
-def test_special_faces_read_crossed_links_and_skip_false_ends():
+def test_special_faces_read_crossed_links_and_refuse_false_ends():
     records = assert_reads_as_references(build_drawing(*CROSSED_LINK))
     assert (0, 1, 4, 2) in [(s.face, s.pivot, s.k, s.partner) for s in records]
     for drawing in (FALSE_PARTNER, FALSE_FAR_END):
         g = build_drawing(*drawing)
         assert [v.kind for v in validate(g).violations] == [ADJACENT_FALSE]
-        assert assert_reads_as_references(g) == []
+        assert_refused_as_adjacent(g, find_special_faces)
 
 
 def test_catalog_samples_and_gadgets_read_as_the_references():
@@ -170,8 +175,7 @@ def _cross_again(rotation, false, f: int, a: int):
     """The drawing with the crossing segment's half f-a crossed once
     more: a new false vertex between f and a, crossed by an edge between
     two new leaves, one on each side. The segment through f now runs
-    through two adjacent false vertices and still straightens to the
-    same pair."""
+    through two adjacent false vertices: an edge crossed twice."""
     n = max(rotation) + 1
     rot = {v: list(r) for v, r in rotation.items()}
     rot[f][rot[f].index(a)] = n
@@ -190,10 +194,9 @@ def _cross_again(rotation, false, f: int, a: int):
 @settings(max_examples=60, deadline=None)
 def test_generated_drawings_read_as_the_references(seed, size, density, rng):
     # Relabel the vertices by a random permutation, then mark some true
-    # 4-vertices false as well, which straightens into loops,
-    # multi-edges and cycles, or cross one half of a crossing segment
-    # again, which makes a chain of adjacent false vertices that
-    # straightens cleanly.
+    # 4-vertices false as well, which can make false vertices adjacent
+    # and straighten into multi-edges, or cross one half of a crossing
+    # segment again, which makes a chain of adjacent false vertices.
     try:
         g = random_oneplane(GeneratorParams(seed, size, density))
     except GenerationFailed:
@@ -211,3 +214,19 @@ def test_generated_drawings_read_as_the_references(seed, size, density, rng):
         drawings.append(build_drawing(*_cross_again(rot, false, f, rng.choice(rot[f]))))
     for h in drawings:
         assert_reads_as_references(h)
+
+
+@pytest.mark.parametrize(
+    "derive", [recover_original, crossing_segments, find_special_faces, apply_discharging]
+)
+@pytest.mark.parametrize(
+    "drawing",
+    [
+        CLEAN_FALSE_CHAIN,
+        FALSE_VERTEX_CYCLE,
+        _cross_again(catalog("k5-one-crossing").embedding.rotation, frozenset({5}), 5, 0),
+    ],
+    ids=["clean-chain", "cycle", "crossed-again"],
+)
+def test_adjacent_false_vertices_are_refused_by_every_use_of_the_straightening(drawing, derive):
+    assert_refused_as_adjacent(build_drawing(*drawing), derive)

@@ -27,18 +27,14 @@ from oneplane.oneplanar import (
     ADJACENT_FALSE,
     CROSSING_EDGE_ON_TWO_TRIANGLES,
     ENCIRCLED_4_VERTEX,
-    FALSE_CYCLE,
     FALSE_DEGREE,
-    RECOVERED_LOOP,
     RECOVERED_MULTI_EDGE,
     SQUEEZED_3_VERTEX,
     AssociatedPlaneGraph,
     OriginalGraphView,
-    RecoveredLoop,
     RecoveredMultiEdge,
     ValidationReport,
     Violation,
-    _follow_segment,
     build_drawing,
     crossing_neighborhoods,
     drawing_diagnostics,
@@ -54,14 +50,15 @@ W5 = {0: [1, 2, 3, 4, 5], 1: [0, 5, 2], 2: [0, 1, 3], 3: [0, 2, 4], 4: [0, 3, 5]
 # Hand-built invalid drawings: (rotation, false vertices).
 # vertex 2 is the crossing of edges 0-1 and 3-4, but 0-1 also exists
 CROSSING_BESIDE_DIRECT_EDGE = ({0: [1, 2], 1: [2, 0], 2: [0, 3, 1, 4], 3: [2], 4: [2]}, {2})
-# crossing 3 straightens along 0-3-4-0; 3 and 4 are adjacent crossings
+# crossing 3's segment runs 0-3-4-0, a loop through the adjacent
+# crossings 3 and 4
 FALSE_CHAIN_LOOP = (
     {0: [3, 4], 1: [3], 2: [3], 3: [0, 1, 4, 2], 4: [3, 5, 0, 6], 5: [4], 6: [4]},
     {3, 4},
 )
 # crossing 2 of 0-1 and 3-4 beside the direct edge 0-1 (its segment runs
-# 1-2-0), joined by the edge 3-10 to crossings 8 and 9, whose segment
-# 5-8-9-5 is a loop
+# 1-2-0), joined by the edge 3-10 to the adjacent crossings 8 and 9,
+# whose segment 5-8-9-5 is a loop
 LOOP_AND_MULTI_EDGE = (
     {
         0: [1, 2], 1: [2, 0], 2: [1, 3, 0, 4], 3: [2, 10], 4: [2],
@@ -69,13 +66,15 @@ LOOP_AND_MULTI_EDGE = (
     },
     {2, 8, 9},
 )
-# the crossing segments of 0, 1 and 2 run into each other in a cycle
+# the crossing segments of the adjacent crossings 0, 1 and 2 run into
+# each other in a cycle
 FALSE_VERTEX_CYCLE = (
     {0: (2, 4, 1, 3), 1: (0, 4, 2, 3), 2: (1, 4, 0, 3), 3: (0, 1, 2), 4: (0, 2, 1)},
     {0, 1, 2},
 )
 # the first two, the cycle shifted to 10-14, joined by the bridge 3-13:
-# the multi-edge's segment comes first, the cycle is reported first
+# the multi-edge's segment comes first, the cycle's adjacencies are
+# reported first
 CYCLE_BESIDE_MULTI_EDGE = (
     {
         **CROSSING_BESIDE_DIRECT_EDGE[0],
@@ -192,13 +191,25 @@ def test_crossing_parallel_to_direct_edge_is_a_multi_edge():
         recover_original(g)
 
 
-def test_false_chain_straightening_to_a_loop():
+def assert_refused_as_adjacent(g: AssociatedPlaneGraph, derive) -> None:
+    """`derive(g)` raises a plain ValueError whose text is `validate`'s
+    first violation, an adjacency, on two calls in a row: a refusal is
+    not cached."""
+    first = validate(g).violations[0]
+    assert first.kind == ADJACENT_FALSE
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            derive(g)
+        assert type(err.value) is ValueError
+        assert str(err.value) == str(first)
+
+
+def test_false_chain_straightening_to_a_loop_is_refused():
     g = build_drawing(*FALSE_CHAIN_LOOP)
-    kinds = violation_kinds(validate(g))
-    assert ADJACENT_FALSE in kinds
-    assert RECOVERED_LOOP in kinds
-    with pytest.raises(RecoveredLoop):
-        recover_original(g)
+    assert [str(v) for v in validate(g).violations] == [
+        "adjacent-false-vertices [3, 4]: false vertices are adjacent"
+    ]
+    assert_refused_as_adjacent(g, recover_original)
 
 
 def test_straightening_loop_and_multi_edge_reported_in_instance_order():
@@ -206,18 +217,21 @@ def test_straightening_loop_and_multi_edge_reported_in_instance_order():
     assert [str(v) for v in validate(g).violations] == [
         "adjacent-false-vertices [8, 9]: false vertices are adjacent",
         "recovered-multi-edge [0, 1]: recovered edge appears twice",
-        "recovered-loop [5]: crossing straightens to a loop",
     ]
-    with pytest.raises(RecoveredMultiEdge, match=r"recovered-multi-edge \[0, 1\]"):
-        recover_original(g)
+    assert_refused_as_adjacent(g, recover_original)
 
 
-def test_false_vertex_cycle_is_a_plain_value_error():
+def test_false_vertex_cycle_is_refused_as_adjacent():
+    # the three crossings' other segments all read 3-4
     g = build_drawing(*FALSE_VERTEX_CYCLE)
-    assert FALSE_CYCLE in violation_kinds(validate(g))
-    with pytest.raises(ValueError, match=FALSE_CYCLE) as err:
-        recover_original(g)
-    assert type(err.value) is ValueError
+    assert [str(v) for v in validate(g).violations] == [
+        "adjacent-false-vertices [0, 2]: false vertices are adjacent",
+        "adjacent-false-vertices [0, 1]: false vertices are adjacent",
+        "adjacent-false-vertices [1, 2]: false vertices are adjacent",
+        "recovered-multi-edge [3, 4]: recovered edge appears twice",
+        "recovered-multi-edge [3, 4]: recovered edge appears twice",
+    ]
+    assert_refused_as_adjacent(g, recover_original)
 
 
 @pytest.mark.parametrize("rotation, false, degree", [(K4, {3}, 3), (W5, {0}, 5)])
@@ -381,14 +395,20 @@ def test_diagnostics_and_validation_share_one_report_type():
 
 
 def reference_straighten(g: AssociatedPlaneGraph) -> tuple[set[tuple[int, int]], list[Violation]]:
-    """Straightening instance by instance, as it was done before only the
-    crossings were walked: every direct edge between true vertices and
-    every crossing segment is one ordered pair, and each loop and
-    repeated pair is named in that order, after the cycles. The reference
-    for `validate` and `recover_original`; returns (edges, violations)."""
+    """Straightening instance by instance: every pair of adjacent false
+    vertices is named first, then every direct edge between true
+    vertices and every crossing segment with two true ends is one
+    ordered pair, and each repeated pair is named in that order. The
+    reference for `validate` and `recover_original`; returns (edges,
+    violations)."""
     rot = g.embedding.rotation
     false = g.false_vertices
-    problems: list[Violation] = []
+    problems = [
+        Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent")
+        for f in sorted(false)
+        for u in rot[f]
+        if u in false and f < u
+    ]
     instances = [
         (u, v)
         for u in g.embedding.vertices
@@ -396,52 +416,42 @@ def reference_straighten(g: AssociatedPlaneGraph) -> tuple[set[tuple[int, int]],
         for v in rot[u]
         if u < v and v not in false
     ]
-    seen_paths: set[tuple[int, ...]] = set()
     for f in sorted(false):
         if len(rot[f]) != 4:
             continue
         for axis in (0, 1):
-            half_a = _follow_segment(g, f, rot[f][axis])
-            half_b = _follow_segment(g, f, rot[f][axis + 2])
-            if half_a is None or half_b is None:
-                problems.append(
-                    Violation(FALSE_CYCLE, (f,), "crossing segment cycles through false vertices")
-                )
-                continue
-            if not half_a or not half_b:
-                continue
-            path = tuple(reversed(half_a)) + half_b[1:]
-            key = min(path, path[::-1])
-            if key in seen_paths:
-                continue
-            seen_paths.add(key)
-            a, b = path[0], path[-1]
-            instances.append((a, b) if a < b else (b, a))
+            a, b = rot[f][axis], rot[f][axis + 2]
+            if a not in false and b not in false:
+                instances.append((min(a, b), max(a, b)))
     edges: set[tuple[int, int]] = set()
-    for a, b in instances:
-        if a == b:
-            problems.append(Violation(RECOVERED_LOOP, (a,), "crossing straightens to a loop"))
-            continue
-        if (a, b) in edges:
-            problems.append(Violation(RECOVERED_MULTI_EDGE, (a, b), "recovered edge appears twice"))
-        edges.add((a, b))
+    for pair in instances:
+        if pair in edges:
+            problems.append(Violation(RECOVERED_MULTI_EDGE, pair, "recovered edge appears twice"))
+        edges.add(pair)
     return edges, problems
 
 
-STRAIGHTENING_KINDS = {FALSE_CYCLE, RECOVERED_LOOP, RECOVERED_MULTI_EDGE}
-RECOVERY_ERRORS = {RECOVERED_LOOP: RecoveredLoop, RECOVERED_MULTI_EDGE: RecoveredMultiEdge}
+STRAIGHTENING_KINDS = {ADJACENT_FALSE, RECOVERED_MULTI_EDGE}
+RECOVERY_ERRORS = {RECOVERED_MULTI_EDGE: RecoveredMultiEdge}
 
 
 def assert_straightens_as_reference(g: AssociatedPlaneGraph) -> list[Violation]:
     """`validate`'s straightening violations and `recover_original`'s
-    edges or exception are the reference's; returns the violations."""
+    edges or exception are the reference's; a false vertex whose degree
+    is not 4 is refused before any violation. Returns the violations."""
     edges, problems = reference_straighten(g)
     assert [v for v in validate(g).violations if v.kind in STRAIGHTENING_KINDS] == problems
-    if problems:
+    rot = g.embedding.rotation
+    wrong = [f for f in sorted(g.false_vertices) if len(rot[f]) != 4]
+    if wrong or problems:
         with pytest.raises(ValueError) as err:
             recover_original(g)
-        assert type(err.value) is RECOVERY_ERRORS.get(problems[0].kind, ValueError)
-        assert str(err.value) == str(problems[0])
+        if wrong:
+            f = wrong[0]
+            expected = (ValueError, f"false vertex {f} has degree {len(rot[f])}, not 4")
+        else:
+            expected = (RECOVERY_ERRORS.get(problems[0].kind, ValueError), str(problems[0]))
+        assert (type(err.value), str(err.value)) == expected
     else:
         assert recover_original(g).edges == tuple(sorted(edges))
     return problems
@@ -477,8 +487,8 @@ def test_straightening_matches_the_per_instance_reference(g):
 def test_straightening_matches_the_reference_on_relabelled_drawings(seed, size, density, rng):
     # Relabel the vertices by a random permutation, as the relabelling
     # property of the discharging tests does, and mark some true
-    # 4-vertices false as well, which can straighten into loops,
-    # multi-edges and cycles.
+    # 4-vertices false as well, which can make false vertices adjacent
+    # and straighten into multi-edges.
     try:
         g = random_oneplane(GeneratorParams(seed, size, density))
     except GenerationFailed:

@@ -18,9 +18,8 @@ module. A key that occurs more than once in one function gets a `#2`,
 Run it from the repository root as `python tools/mutants.py`. Two
 workers each run the suite in their own copy of `src/`, `tests/` and
 `README.md` in a temporary directory, without bytecode caches and with
-an empty Hypothesis database per mutant. A run of the 125 mutants took
-about five and a half minutes (328 s) on two cores of a Xeon VM with
-Python 3.11.
+an empty Hypothesis database per mutant. A run of the 117 mutants took
+about five minutes (290 s) on two cores of a Xeon VM with Python 3.11.
 """
 
 from __future__ import annotations
@@ -166,7 +165,10 @@ def _run_suite(tree: Path) -> str:
     """'passed', 'failed' or 'timeout' for tier-1 with -x in `tree`."""
     shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # tests/test_mutants.py checks this tool's list against the source it
+    # mutates, not the package's behavior, so it is left out of each run
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+    command.append("--ignore=tests/test_mutants.py")
     try:
         done = subprocess.run(
             command, cwd=tree, env=env, capture_output=True, timeout=SUITE_TIMEOUT_S
