@@ -95,7 +95,6 @@ from .oneplanar import (
     AssociatedPlaneGraph,
     CrossingNeighborhood,
     crossing_neighborhoods,
-    crossing_segments,
     is_false_triangle,
 )
 
@@ -209,16 +208,19 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     """All (false 3-face, pivot) records, trying both true corners.
 
     The original graph is not recovered: an original edge between two
-    true vertices is a dart of the embedding or a crossing segment. A
-    drawing that does not straighten cleanly raises what
-    `recover_original` raises; one that does has no two false vertices
-    adjacent, so every corner vertex and far end is true."""
+    true vertices is a dart of the embedding or one of a crossing's two
+    segments, its neighborhood's endpoints 0-2 and 1-3. A drawing that
+    `validate` faults raises what `recover_original` raises; one that it
+    does not has no two false vertices adjacent, so every corner vertex
+    and far end is true."""
     emb = g.embedding
     deg, fdeg, darts = emb.degrees, emb.face_degrees, emb.face_of
-    crossed = set(crossing_segments(g))
-    crossed.update([(b, a) for a, b in crossed])
+    hoods = crossing_neighborhoods(g)
+    # each corner's first endpoint and its opposite: the segments 0-2
+    # and 1-3, both ways round
+    crossed = {(near, far) for hood in hoods for near, _, far, _, _ in hood.corners}
     records = []
-    for hood in crossing_neighborhoods(g):
+    for hood in hoods:
         for near_a, near_b, far_a, far_b, f in hood.corners:
             if fdeg[f] != 3:
                 continue

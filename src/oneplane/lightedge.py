@@ -79,15 +79,19 @@ class GuaranteeVerdict:
     """Outcome of searching a valid drawing for its guaranteed light edge.
 
     `light_edges` lists every light edge of the recovered graph, as
-    `find_light_edges` orders them, whatever the status.
+    `find_light_edges` orders them, whatever the status; `witness` is
+    the first of them when the status is witness-found, else None.
     Under `BOUNDS`, `counterexample-candidate` never occurs for a valid
     drawing of a minimum-degree-3 graph.
     """
 
     status: str
     min_degree: int
-    witness: LightEdgeWitness | None = None
     light_edges: tuple[LightEdgeWitness, ...] = ()
+
+    @property
+    def witness(self) -> LightEdgeWitness | None:
+        return self.light_edges[0] if self.status == WITNESS_FOUND else None
 
 
 def check_light_edge_guarantee(
@@ -104,7 +108,7 @@ def check_light_edge_guarantee(
     min_degree = view.min_degree()
     witnesses = tuple(find_light_edges(view, bounds))
     if min_degree < min(bounds):
-        return GuaranteeVerdict(HYPOTHESIS_UNMET, min_degree, light_edges=witnesses)
+        return GuaranteeVerdict(HYPOTHESIS_UNMET, min_degree, witnesses)
     if witnesses:
-        return GuaranteeVerdict(WITNESS_FOUND, min_degree, witnesses[0], light_edges=witnesses)
+        return GuaranteeVerdict(WITNESS_FOUND, min_degree, witnesses)
     return GuaranteeVerdict(COUNTEREXAMPLE_CANDIDATE, min_degree)

@@ -12,29 +12,36 @@ Straightening works on the rotation at a false vertex: its four
 neighbors pair up opposite positions, so a crossing with rotation
 (a, b, c, d) stands for the two original edges a-c and b-d. An edge
 crossed at most once passes through one false vertex, so each segment
-is read straight off that rotation, with no walk. Two adjacent false
-vertices would make an edge crossed twice: every use of the
-straightening refuses such a drawing, and `validate` reports each pair.
+is read straight off that rotation, with no walk.
 
-`validate` does work in proportion to the crossings: it reads the
-crossing segments alone, derived once per drawing, and tests each
-against the embedding's darts and the earlier segments. The recovered
-edge list, the direct edges between true vertices plus the segments, is
-built on the first `recover_original`; the discharging engine does not
-build it, since an original edge between two true vertices is a dart of
-the embedding or a crossing segment (`crossing_segments`). Recovery
-refuses a false vertex whose degree is not 4, through the check the
-crossing neighborhoods share, so every dart at a true vertex straightens
-into exactly one recovered edge and the recovered degrees are the
-embedding's own.
+The straightening is the one crossing check. It walks the false
+vertices once and finds every crossing fault: a false vertex whose
+degree is not 4, two adjacent false vertices (an edge crossed twice)
+and a recovered multi-edge. `validate` reports them all, and every
+derivation that reads the crossings (`recover_original`,
+`crossing_neighborhoods` and, through them, the light-edge search, the
+k-special faces, the transitive corners and the discharging) refuses a
+faulty drawing by raising the first of them, with `validate`'s text.
+The check does work in proportion to the crossings, and is derived once
+per drawing.
+
+The recovered edge list, the direct edges between true vertices plus
+the segments, is built on the first `recover_original`; the discharging
+engine does not build it, since an original edge between two true
+vertices is a dart of the embedding or one of a crossing's two
+segments, read off its neighborhood. Every dart at a true vertex of a
+valid drawing straightens into exactly one recovered edge, so the
+recovered degrees are the embedding's own.
 
 Each crossing's four corner records are derived once, with its
 neighborhood, from the false vertex's rotation and the faces of its
 darts; the discharging engine and the audit read them and derive no
-corner again. The faces are read from `face_of` directly, not through
-`PlaneEmbedding.corner_faces`, whose per-vertex tuple made a build of
-the neighborhoods about 1.6 times slower on a 749-crossing drawing;
-they equal the false vertex's `corner_faces`, rotated alike.
+corner again. They are built on first use, apart from the
+straightening, so `validate`, `recover_original` and the light-edge
+search build none. The faces are read from `face_of` directly, not
+through `PlaneEmbedding.corner_faces`, whose per-vertex tuple made a
+build of the neighborhoods about 1.6 times slower on a 749-crossing
+drawing; they equal the false vertex's `corner_faces`, rotated alike.
 Vertex ids, neighbors and false-vertex marks must be ints.
 """
 
@@ -53,11 +60,11 @@ class RecoveredMultiEdge(ValueError):
 @dataclass(frozen=True)
 class AssociatedPlaneGraph:
     """A plane embedding plus the set of vertices marking crossings. The
-    sorted false vertices, the straightening (whose segments are read
-    through `crossing_segments`), the recovered original graph (through
-    `recover_original`) and the crossing neighborhoods (through
-    `crossing_neighborhoods`) are derived once per drawing, on first
-    use."""
+    sorted false vertices, the straightening (read through `validate`),
+    the recovered original graph (through `recover_original`) and the
+    crossing neighborhoods (through `crossing_neighborhoods`) are
+    derived once per drawing, on first use. The last two refuse a
+    drawing that `validate` faults, on every access."""
 
     embedding: PlaneEmbedding
     false_vertices: frozenset[int]
@@ -68,23 +75,23 @@ class AssociatedPlaneGraph:
 
     @cached_property
     def _straightened(self) -> tuple[tuple[tuple[int, int], ...], tuple[Violation, ...]]:
-        """The crossing segments and the straightening violations,
-        derived once per drawing, on first use, for `validate` and
-        `recover_original`."""
+        """The crossing segments and the crossing faults, derived once
+        per drawing, on first use."""
         return _straighten(self)
 
-    def _check_false_degrees(self) -> None:
-        """Raise ValueError naming the first false vertex, in vertex
-        order, whose degree is not 4; shared by recovery and the
-        crossing neighborhoods."""
-        deg = self.embedding.degrees
-        for f in self.sorted_false_vertices:
-            if deg[f] != 4:
-                raise ValueError(f"false vertex {f} has degree {deg[f]}, not 4")
+    def _refuse_invalid(self) -> None:
+        """Raise the first crossing fault, with `validate`'s text: as
+        RecoveredMultiEdge for a multi-edge, as a plain ValueError
+        otherwise. Every derivation that reads the crossings calls it
+        first."""
+        problems = self._straightened[1]
+        if problems:
+            error = RecoveredMultiEdge if problems[0].kind == RECOVERED_MULTI_EDGE else ValueError
+            raise error(str(problems[0]))
 
     @cached_property
     def _neighborhoods(self) -> list[CrossingNeighborhood]:
-        self._check_false_degrees()
+        self._refuse_invalid()
         emb = self.embedding
         face_of = emb.face_of
         out: list[CrossingNeighborhood] = []
@@ -107,13 +114,13 @@ class AssociatedPlaneGraph:
     def _original(self) -> OriginalGraphView:
         """Derived once per drawing, on first use, for `recover_original`.
         An invalid drawing caches nothing and raises on every access."""
-        segments = crossing_segments(self)
+        self._refuse_invalid()
         emb, false = self.embedding, self.false_vertices
         rot, deg = emb.rotation, emb.degrees
         vertices = tuple(v for v in emb.vertices if v not in false)
         # the direct edges between true vertices come nearly in order
         edges = [(u, v) for u in vertices for v in rot[u] if u < v and v not in false]
-        edges += segments
+        edges += self._straightened[0]
         edges.sort()
         # every dart at a true vertex straightens into one recovered edge
         degrees = {v: deg[v] for v in vertices}
@@ -167,37 +174,41 @@ FALSE_DEGREE = "false-vertex-degree"
 ADJACENT_FALSE = "adjacent-false-vertices"
 RECOVERED_MULTI_EDGE = "recovered-multi-edge"
 
+
 def _straighten(
     g: AssociatedPlaneGraph,
 ) -> tuple[tuple[tuple[int, int], ...], tuple[Violation, ...]]:
     """The crossing segments, as ordered pairs in segment order, and the
-    violations straightening finds: each pair of adjacent false vertices
-    first, in vertex order, then the multi-edges, in segment order.
+    crossing faults, found in one pass over the false vertices in vertex
+    order: each false vertex whose degree is not 4 first, then each
+    pair of adjacent false vertices, then the multi-edges, in segment
+    order.
 
     A crossing with rotation r stands for the segments (r0, r2) and
-    (r1, r3), read straight off r. An edge crossed at most once meets no
-    two false vertices in a row, so a segment with a false end is
-    skipped, not followed: its adjacency is reported, and refuses the
-    drawing. A segment whose pair is a direct edge or an earlier segment
-    is a multi-edge. Direct edges never repeat one another, and a
-    segment's two ends are distinct, because `build_embedding` rejects
-    repeated neighbors. A false vertex whose degree is not 4 yields no
-    segment; validate() reports it on its own.
+    (r1, r3), read straight off r. A false vertex whose degree is not 4
+    is no crossing and yields no segment. An edge crossed at most once
+    meets no two false vertices in a row, so a segment with a false end
+    is skipped, not followed: its adjacency is reported. A segment whose
+    pair is a direct edge or an earlier segment is a multi-edge. Direct
+    edges never repeat one another, and a segment's two ends are
+    distinct, because `build_embedding` rejects repeated neighbors.
     """
     rot = g.embedding.rotation
     darts = g.embedding.face_of
     false = g.false_vertices
-    violations: list[Violation] = []
-    for f in g.sorted_false_vertices:
-        for u in rot[f]:
-            if u in false and f < u:
-                violations.append(Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent"))
+    wrong_degree: list[Violation] = []
+    adjacent: list[Violation] = []
+    multi_edges: list[Violation] = []
     segments: list[tuple[int, int]] = []
     seen_pairs: set[tuple[int, int]] = set()
     for f in g.sorted_false_vertices:
         r = rot[f]
+        for u in r:
+            if u in false and f < u:
+                adjacent.append(Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent"))
         if len(r) != 4:
-            continue  # reported separately by validate()
+            wrong_degree.append(Violation(FALSE_DEGREE, (f,), f"degree {len(r)}, expected 4"))
+            continue
         for axis in (0, 1):
             a, b = r[axis], r[axis + 2]
             if a in false or b in false:
@@ -205,12 +216,12 @@ def _straighten(
             pair = (a, b) if a < b else (b, a)
             segments.append(pair)
             if pair in darts or pair in seen_pairs:
-                violations.append(
+                multi_edges.append(
                     Violation(RECOVERED_MULTI_EDGE, pair, "recovered edge appears twice")
                 )
             else:
                 seen_pairs.add(pair)
-    return tuple(segments), tuple(violations)
+    return tuple(segments), (*wrong_degree, *adjacent, *multi_edges)
 
 
 def validate(g: AssociatedPlaneGraph) -> ValidationReport:
@@ -219,14 +230,7 @@ def validate(g: AssociatedPlaneGraph) -> ValidationReport:
     An empty report means: every false vertex has degree 4, no two false
     vertices are adjacent, and the recovered original graph is simple.
     """
-    rot = g.embedding.rotation
-    violations: list[Violation] = []
-    for f in g.sorted_false_vertices:
-        d = len(rot[f])
-        if d != 4:
-            violations.append(Violation(FALSE_DEGREE, (f,), f"degree {d}, expected 4"))
-    violations.extend(g._straightened[1])
-    return ValidationReport(tuple(violations))
+    return ValidationReport(g._straightened[1])
 
 
 @dataclass(frozen=True)
@@ -237,8 +241,8 @@ class OriginalGraphView:
     lookup tries the pair both ways round, so it takes constant time and
     agrees with `edges` however each pair is ordered. No code in the
     package calls `has_edge`: the discharging engine reads the original
-    adjacency from the embedding's darts and `crossing_segments`. It is
-    kept for callers of the view and as the tests' reference.
+    adjacency from the embedding's darts and the crossing neighborhoods.
+    It is kept for callers of the view and as the tests' reference.
     """
 
     vertices: tuple[int, ...]
@@ -260,32 +264,18 @@ class OriginalGraphView:
 def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
     """Undo the planarization, returning the original simple graph.
 
-    Raises a plain ValueError, first, when a false vertex's degree is not
-    4 (`crossing_neighborhoods` raises the same error, from the same
-    check): such a vertex is no crossing, and straightening would drop
-    its edges. Then raises a plain ValueError when two false vertices
-    are adjacent, which would make an edge crossed twice, and
-    RecoveredMultiEdge when straightening breaks simplicity; the text is
-    the first such violation `validate` reports. Each signals an invalid
-    drawing, on every call. The straightening is derived once
-    per drawing and shared with `validate`; every call on a valid
-    drawing returns the same view, whose `degrees` are the embedding's
-    degrees of the true vertices, and which callers must not modify.
+    Refuses, on every call, a drawing that `validate` faults: a false
+    vertex whose degree is not 4 (no crossing; straightening would drop
+    its edges), two adjacent false vertices (an edge crossed twice) or a
+    recovered multi-edge. It raises the first fault `validate` reports,
+    with its text: RecoveredMultiEdge for a multi-edge, a plain
+    ValueError otherwise. `crossing_neighborhoods` refuses the same
+    drawings with the same error. The straightening is derived once per
+    drawing and shared with `validate`; every call on a valid drawing
+    returns the same view, whose `degrees` are the embedding's degrees
+    of the true vertices, and which callers must not modify.
     """
     return g._original
-
-
-def crossing_segments(g: AssociatedPlaneGraph) -> tuple[tuple[int, int], ...]:
-    """The original edges that cross, one ordered pair per crossing
-    segment, in segment order; every call on a drawing returns the same
-    tuple. Raises what `recover_original` raises, on every call, when
-    the drawing does not straighten cleanly."""
-    g._check_false_degrees()
-    segments, problems = g._straightened
-    if problems:
-        error = RecoveredMultiEdge if problems[0].kind == RECOVERED_MULTI_EDGE else ValueError
-        raise error(str(problems[0]))
-    return segments
 
 
 @dataclass(frozen=True)
@@ -310,7 +300,9 @@ class CrossingNeighborhood:
 
 def crossing_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:
     """One neighborhood per false vertex, in vertex order; every call on
-    a drawing returns the same list, which callers must not modify."""
+    a drawing returns the same list, which callers must not modify.
+    Raises what `recover_original` raises, on every call, when
+    `validate` faults the drawing."""
     return g._neighborhoods
 
 

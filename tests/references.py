@@ -23,7 +23,7 @@ def sliced_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:
     """The crossing neighborhoods with each corner record's face sliced
     from the false vertex's `corner_faces`, rotated to its lowest
     endpoint like the rotation."""
-    g._check_false_degrees()
+    g._refuse_invalid()
     emb = g.embedding
     out: list[CrossingNeighborhood] = []
     for f in g.sorted_false_vertices:

@@ -2,13 +2,14 @@
 
 `_straighten` reads each segment off the false vertex's rotation, the
 corner records read their faces from the dart table, and
-`find_special_faces` reads the original adjacency from the darts and the
-crossing segments. The straightening must equal `reference_straighten`,
-and `references` keeps the slicing and the recovered-graph lookup the
-other two replaced; on valid and invalid drawings alike, the results, or
-the exceptions raised, must be equal, in order. A drawing with adjacent
-false vertices, whose edges are crossed more than once, is refused by
-every use of the straightening.
+`find_special_faces` reads the original adjacency from the darts and
+each crossing's two segments, its neighborhood's endpoints 0-2 and 1-3.
+The straightening must equal `reference_straighten`, and `references`
+keeps the slicing and the recovered-graph lookup the other two
+replaced; on valid and invalid drawings alike, the results, or the
+exceptions raised, must be equal, in order. The straightening is the
+one crossing check: every derivation that reads the crossings refuses
+a drawing that `validate` faults, raising its first violation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gadgets import encircled_gadget, squeezed_gadget
-from oneplane.discharging import apply_discharging, find_special_faces
+from oneplane.discharging import apply_discharging, find_special_faces, transitive_corners
 from oneplane.generators import (
     GenerationFailed,
     GeneratorParams,
@@ -31,7 +32,6 @@ from oneplane.oneplanar import (
     AssociatedPlaneGraph,
     build_drawing,
     crossing_neighborhoods,
-    crossing_segments,
     recover_original,
     validate,
 )
@@ -46,7 +46,7 @@ from test_oneplanar import (
     K4,
     LOOP_AND_MULTI_EDGE,
     W5,
-    assert_refused_as_adjacent,
+    assert_refused,
     assert_straightens_as_reference,
 )
 
@@ -161,7 +161,7 @@ def test_special_faces_read_crossed_links_and_refuse_false_ends():
     for drawing in (FALSE_PARTNER, FALSE_FAR_END):
         g = build_drawing(*drawing)
         assert [v.kind for v in validate(g).violations] == [ADJACENT_FALSE]
-        assert_refused_as_adjacent(g, find_special_faces)
+        assert_refused(g, find_special_faces)
 
 
 def test_catalog_samples_and_gadgets_read_as_the_references():
@@ -217,7 +217,14 @@ def test_generated_drawings_read_as_the_references(seed, size, density, rng):
 
 
 @pytest.mark.parametrize(
-    "derive", [recover_original, crossing_segments, find_special_faces, apply_discharging]
+    "derive",
+    [
+        recover_original,
+        crossing_neighborhoods,
+        find_special_faces,
+        transitive_corners,
+        apply_discharging,
+    ],
 )
 @pytest.mark.parametrize(
     "drawing",
@@ -225,8 +232,11 @@ def test_generated_drawings_read_as_the_references(seed, size, density, rng):
         CLEAN_FALSE_CHAIN,
         FALSE_VERTEX_CYCLE,
         _cross_again(catalog("k5-one-crossing").embedding.rotation, frozenset({5}), 5, 0),
+        (K4, {3}),
+        (W5, {0}),
+        CROSSING_BESIDE_DIRECT_EDGE,
     ],
-    ids=["clean-chain", "cycle", "crossed-again"],
+    ids=["clean-chain", "cycle", "crossed-again", "k4-degree-3", "w5-degree-5", "multi-edge"],
 )
-def test_adjacent_false_vertices_are_refused_by_every_use_of_the_straightening(drawing, derive):
-    assert_refused_as_adjacent(build_drawing(*drawing), derive)
+def test_every_crossing_fault_is_refused_by_every_use_of_the_crossings(drawing, derive):
+    assert_refused(build_drawing(*drawing), derive)

@@ -191,17 +191,20 @@ def test_crossing_parallel_to_direct_edge_is_a_multi_edge():
         recover_original(g)
 
 
-def assert_refused_as_adjacent(g: AssociatedPlaneGraph, derive) -> None:
-    """`derive(g)` raises a plain ValueError whose text is `validate`'s
-    first violation, an adjacency, on two calls in a row: a refusal is
-    not cached."""
+RECOVERY_ERRORS = {RECOVERED_MULTI_EDGE: RecoveredMultiEdge}
+
+
+def assert_refused(g: AssociatedPlaneGraph, derive) -> None:
+    """`derive(g)` raises exactly `validate`'s first violation, on two
+    calls in a row (a refusal is not cached): its text, as
+    RecoveredMultiEdge for a multi-edge and as a plain ValueError
+    otherwise."""
     first = validate(g).violations[0]
-    assert first.kind == ADJACENT_FALSE
+    expected = (RECOVERY_ERRORS.get(first.kind, ValueError), str(first))
     for _ in range(2):
         with pytest.raises(ValueError) as err:
             derive(g)
-        assert type(err.value) is ValueError
-        assert str(err.value) == str(first)
+        assert (type(err.value), str(err.value)) == expected
 
 
 def test_false_chain_straightening_to_a_loop_is_refused():
@@ -209,7 +212,7 @@ def test_false_chain_straightening_to_a_loop_is_refused():
     assert [str(v) for v in validate(g).violations] == [
         "adjacent-false-vertices [3, 4]: false vertices are adjacent"
     ]
-    assert_refused_as_adjacent(g, recover_original)
+    assert_refused(g, recover_original)
 
 
 def test_straightening_loop_and_multi_edge_reported_in_instance_order():
@@ -218,7 +221,7 @@ def test_straightening_loop_and_multi_edge_reported_in_instance_order():
         "adjacent-false-vertices [8, 9]: false vertices are adjacent",
         "recovered-multi-edge [0, 1]: recovered edge appears twice",
     ]
-    assert_refused_as_adjacent(g, recover_original)
+    assert_refused(g, recover_original)
 
 
 def test_false_vertex_cycle_is_refused_as_adjacent():
@@ -231,24 +234,20 @@ def test_false_vertex_cycle_is_refused_as_adjacent():
         "recovered-multi-edge [3, 4]: recovered edge appears twice",
         "recovered-multi-edge [3, 4]: recovered edge appears twice",
     ]
-    assert_refused_as_adjacent(g, recover_original)
+    assert_refused(g, recover_original)
 
 
 @pytest.mark.parametrize("rotation, false, degree", [(K4, {3}, 3), (W5, {0}, 5)])
 def test_recovery_refuses_a_false_vertex_whose_degree_is_not_4(rotation, false, degree):
     # recovery used to drop the vertex's edges, leaving K4's triangle
-    # 0-1-2 at degree 2; it now raises the neighborhoods' error
+    # 0-1-2 at degree 2; it now raises validate's first violation
     g = build_drawing(rotation, false)
     (f,) = false
     assert [str(v) for v in validate(g).violations] == [
         f"false-vertex-degree [{f}]: degree {degree}, expected 4"
     ]
     for derive in (recover_original, crossing_neighborhoods, check_light_edge_guarantee):
-        for _ in range(2):  # an invalid drawing caches nothing
-            with pytest.raises(ValueError) as err:
-                derive(g)
-            assert type(err.value) is ValueError
-            assert str(err.value) == f"false vertex {f} has degree {degree}, not 4"
+        assert_refused(g, derive)
 
 
 def test_ids_neighbors_and_marks_must_be_ints():
@@ -292,6 +291,21 @@ def test_plane_drawing_has_no_neighborhoods():
 def test_crossing_neighborhoods_are_derived_once_per_drawing():
     g = catalog("cube-plus-diagonals")
     assert crossing_neighborhoods(g) is crossing_neighborhoods(g)
+
+
+def test_validation_recovery_and_light_edges_build_no_neighborhoods():
+    # the corner records are derived apart from the straightening, so
+    # the validate, recover and light-edges commands never build them;
+    # the first drawing is the benchmark's quad-large one (749 crossings)
+    drawings = [random_oneplane(GeneratorParams(0, 1001, 0.75))]
+    drawings += [catalog(name) for name in catalog_names()]
+    for g in drawings:
+        assert validate(g).ok
+        recover_original(g)
+        check_light_edge_guarantee(g)
+        assert "_neighborhoods" not in vars(g)
+        crossing_neighborhoods(g)
+        assert "_neighborhoods" in vars(g)  # the probe sees a build
 
 
 def test_sorted_false_vertices_are_derived_once_per_drawing(corpus):
@@ -395,15 +409,20 @@ def test_diagnostics_and_validation_share_one_report_type():
 
 
 def reference_straighten(g: AssociatedPlaneGraph) -> tuple[set[tuple[int, int]], list[Violation]]:
-    """Straightening instance by instance: every pair of adjacent false
-    vertices is named first, then every direct edge between true
-    vertices and every crossing segment with two true ends is one
-    ordered pair, and each repeated pair is named in that order. The
-    reference for `validate` and `recover_original`; returns (edges,
-    violations)."""
+    """Straightening instance by instance: every false vertex whose
+    degree is not 4 is named first, then every pair of adjacent false
+    vertices, then every direct edge between true vertices and every
+    crossing segment with two true ends is one ordered pair, and each
+    repeated pair is named in that order. The reference for `validate`
+    and `recover_original`; returns (edges, violations)."""
     rot = g.embedding.rotation
     false = g.false_vertices
     problems = [
+        Violation(FALSE_DEGREE, (f,), f"degree {len(rot[f])}, expected 4")
+        for f in sorted(false)
+        if len(rot[f]) != 4
+    ]
+    problems += [
         Violation(ADJACENT_FALSE, (f, u), "false vertices are adjacent")
         for f in sorted(false)
         for u in rot[f]
@@ -431,27 +450,13 @@ def reference_straighten(g: AssociatedPlaneGraph) -> tuple[set[tuple[int, int]],
     return edges, problems
 
 
-STRAIGHTENING_KINDS = {ADJACENT_FALSE, RECOVERED_MULTI_EDGE}
-RECOVERY_ERRORS = {RECOVERED_MULTI_EDGE: RecoveredMultiEdge}
-
-
 def assert_straightens_as_reference(g: AssociatedPlaneGraph) -> list[Violation]:
-    """`validate`'s straightening violations and `recover_original`'s
-    edges or exception are the reference's; a false vertex whose degree
-    is not 4 is refused before any violation. Returns the violations."""
+    """`validate`'s violations and `recover_original`'s edges or
+    exception are the reference's. Returns the violations."""
     edges, problems = reference_straighten(g)
-    assert [v for v in validate(g).violations if v.kind in STRAIGHTENING_KINDS] == problems
-    rot = g.embedding.rotation
-    wrong = [f for f in sorted(g.false_vertices) if len(rot[f]) != 4]
-    if wrong or problems:
-        with pytest.raises(ValueError) as err:
-            recover_original(g)
-        if wrong:
-            f = wrong[0]
-            expected = (ValueError, f"false vertex {f} has degree {len(rot[f])}, not 4")
-        else:
-            expected = (RECOVERY_ERRORS.get(problems[0].kind, ValueError), str(problems[0]))
-        assert (type(err.value), str(err.value)) == expected
+    assert list(validate(g).violations) == problems
+    if problems:
+        assert_refused(g, recover_original)
     else:
         assert recover_original(g).edges == tuple(sorted(edges))
     return problems
