@@ -53,12 +53,10 @@ reads.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .discharging import (
-    ZERO,
     Element,
     Transfer,
     exact_sum,
@@ -123,15 +121,6 @@ _TRIANGLE_GATES = ((3, HEAVY[3], TWO_THIRDS), (4, HEAVY[4], ONE_THIRD))
 _QUAD_GATES = {3: (HEAVY[3], FIVE_TWELFTHS, (1, 2, 3, 4)), 4: (HEAVY[4], ONE_THIRD, (4,))}
 
 
-def _group_sum(values: Sequence[Fraction]) -> Fraction:
-    """The exact sum of one group's amounts, equal to
-    `sum(values, Fraction(0))`. Most groups are empty or hold one
-    amount; those are read directly, the rest go to `exact_sum`."""
-    if len(values) > 1:
-        return exact_sum(values)
-    return values[0] if values else ZERO
-
-
 def audit(
     g: AssociatedPlaneGraph, final: dict[Element, Fraction], transfers: list[Transfer]
 ) -> AuditReport:
@@ -166,7 +155,7 @@ def audit(
     for i, prev, v, nxt in transitive_corners(g):
         income[i, v] += (r5[deg[prev]], r5[deg[nxt]])
     crossing_flow = tuple(
-        CrossingFlow(f, v, _group_sum(income.get((f, v), ())), _group_sum(routed.get((f, v), ())))
+        CrossingFlow(f, v, exact_sum(income.get((f, v), ())), exact_sum(routed.get((f, v), ())))
         for f, v in sorted(income.keys() | routed.keys())
     )
     margin_failures = tuple(
@@ -232,8 +221,8 @@ def _face_pass(
 
     face_flow: dict[int, FaceFlow] = {}
     for i, (d, tails) in enumerate(zip(emb.face_degrees, emb.faces)):
-        got = _group_sum(received_heavy.get(i, ()))
-        out = _group_sum(sent_via.get(i, ()))
+        got = exact_sum(received_heavy.get(i, ()))
+        out = exact_sum(sent_via.get(i, ()))
         face_flow[i] = FaceFlow(got, out)
         if d >= 4:
             instances["face-balance"] += 1
@@ -278,7 +267,7 @@ def _face_pass(
             if amounts is not None:
                 amounts.append(t.amount)
     for name, i, v, floor in owed:
-        got = _group_sum(paid[i, v])
+        got = exact_sum(paid[i, v])
         if got < floor:
             failures[name].append(f"f{i} paid v{v} {got}, needs {floor}")
 

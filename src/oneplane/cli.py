@@ -1,14 +1,19 @@
 """Command-line interface.
 
 Commands: validate, recover, light-edges, discharge, audit, gen, catalog.
-Reports render as human-readable text (default) or canonical JSON; both
-are byte-stable for identical inputs and flags. A JSON report is
-`json.dumps(report, indent=2, sort_keys=True)`. Two lists are formatted
-through fixed per-record templates instead, with the same bytes, pinned
-by tests and CI: the `light_edges` records of the light-edges report,
-here, and the vertex entries and rotation rows of the drawing that gen
-and catalog write, in `graphio.dumps`, which refuses vertex ids that are
-not dense from 0.
+The first five are drawing commands: each builds its report fields and
+exit code from a valid input drawing, and one runner, `_report`, loads
+and validates the drawing, prints the report and returns the code.
+Every drawing report starts with `command` and `input` (JSON then sorts
+the keys); an invalid drawing gets the validate report under the
+command's name. Reports render as human-readable text (default) or
+canonical JSON; both are byte-stable for identical inputs and flags. A
+JSON report is `json.dumps(report, indent=2, sort_keys=True)`. Two
+lists are formatted through fixed per-record templates instead, with
+the same bytes, pinned by tests and CI: the `light_edges` records of the
+light-edges report, here, and the vertex entries and rotation rows of
+the drawing that gen and catalog write, in `graphio.dumps`, which
+refuses vertex ids that are not dense from 0.
 
 Exit codes:
   0   success; for light-edges, a guaranteed witness was found
@@ -78,8 +83,8 @@ def _build_parser() -> _Parser:
         p.set_defaults(run=run)
         return p
 
-    def drawing_command(name, run, summary):
-        p = command(name, run, summary)
+    def drawing_command(name, build, summary):
+        p = command(name, functools.partial(_report, build), summary)
         p.add_argument("input", help="graph JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
@@ -104,12 +109,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _report(build, args) -> int:
+    """Run one drawing command: load the input drawing g, build the
+    command's report fields and exit code with `build(args, g)`, print
+    the report with `command` and `input` first, and return the code.
+    An invalid g gets the validation report under the command's name
+    and exit 1 instead. Diagnostics are computed only for a printed
+    validation report."""
+    g = _load(args.input)
+    violations = validate(g).violations
+    fields, code = _cmd_validate(args, g, violations) if violations else build(args, g)
+    _emit({"command": args.command, "input": args.input, **fields}, args.format)
+    return code
+
+
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
+    """Print `report` as text or as JSON. A `light_edges` member holds
+    witnesses: text lists each as `_witness_dict`, JSON formats each
+    through `_WITNESS_JSON`."""
+    witnesses = report.get("light_edges")
+    if fmt == "text":
+        if witnesses is not None:
+            report = {**report, "light_edges": [_witness_dict(w) for w in witnesses]}
+        print("\n".join(_text_lines(report)))
+        return
+    if not witnesses:
         print(json.dumps(report, indent=2, sort_keys=True))
         return
-    for line in _text_lines(report):
-        print(line)
+    text = json.dumps({**report, "light_edges": []}, indent=2, sort_keys=True)
+    records = ",\n".join([_WITNESS_JSON % (*w.degrees, *w.edge, w.light_type) for w in witnesses])
+    # a newline inside a JSON string is escaped, so this matches only the key
+    print(text.replace('\n  "light_edges": []', '\n  "light_edges": [\n%s\n  ]' % records, 1))
 
 
 def _text_lines(report: dict, prefix: str = "") -> list[str]:
@@ -132,62 +162,6 @@ def _text_lines(report: dict, prefix: str = "") -> list[str]:
         else:
             lines.append(f"{prefix}{key}: {value}")
     return lines
-
-
-def _validation_doc(args, g, violations=()) -> dict:
-    return {
-        "command": args.command,
-        "input": args.input,
-        "valid": not violations,
-        "violations": [str(v) for v in violations],
-        "diagnostics": [str(v) for v in drawing_diagnostics(g).violations],
-    }
-
-
-def _load(path: str):
-    """The input drawing. A file that cannot be read is an input error at
-    byte 0, so that an OSError reaching `main` is always an output error."""
-    try:
-        return graphio.load(path)
-    except OSError as err:
-        raise graphio.GraphFormatError(str(err)) from None
-
-
-def _on_valid_drawing(command):
-    """Run `command(args, g)` on the input drawing g when it is valid;
-    otherwise print its validation report under the command's name and
-    exit 1. Diagnostics are computed only for a printed report."""
-
-    def run(args) -> int:
-        g = _load(args.input)
-        rep = validate(g)
-        if not rep.ok:
-            _emit(_validation_doc(args, g, rep.violations), args.format)
-            return EX_INVALID
-        return command(args, g)
-
-    return run
-
-
-@_on_valid_drawing
-def _cmd_validate(args, g) -> int:
-    _emit(_validation_doc(args, g), args.format)
-    return EX_OK
-
-
-@_on_valid_drawing
-def _cmd_recover(args, g) -> int:
-    view = recover_original(g)
-    doc = {
-        "command": "recover",
-        "input": args.input,
-        "vertices": len(view.vertices),
-        "edges": [list(e) for e in view.edges],
-        "degrees": {str(v): view.degrees[v] for v in view.vertices},
-        "min_degree": view.min_degree(),
-    }
-    _emit(doc, args.format)
-    return EX_OK
 
 
 def _witness_dict(w) -> dict:
@@ -213,47 +187,59 @@ _WITNESS_JSON = """    {
     }"""
 
 
-def _light_edges_json(doc: dict, witnesses) -> str:
-    """The JSON text of `doc` with its `light_edges` key set to the
-    witness records, each formatted through `_WITNESS_JSON`."""
-    text = json.dumps({**doc, "light_edges": []}, indent=2, sort_keys=True)
-    if not witnesses:
-        return text
-    records = ",\n".join([_WITNESS_JSON % (*w.degrees, *w.edge, w.light_type) for w in witnesses])
-    # a newline inside a JSON string is escaped, so this matches only the key
-    return text.replace('\n  "light_edges": []', '\n  "light_edges": [\n%s\n  ]' % records, 1)
+def _load(path: str):
+    """The input drawing. A file that cannot be read is an input error at
+    byte 0, so that an OSError reaching `main` is always an output error."""
+    try:
+        return graphio.load(path)
+    except OSError as err:
+        raise graphio.GraphFormatError(str(err)) from None
 
 
-@_on_valid_drawing
-def _cmd_light_edges(args, g) -> int:
+# A drawing command's builder takes (args, g), g a valid drawing, and
+# returns its report fields and exit code, which `_report` prints and
+# returns. `_cmd_validate` also builds the report of a refused drawing,
+# from its violations.
+
+
+def _cmd_validate(args, g, violations=()) -> tuple[dict, int]:
+    return {
+        "valid": not violations,
+        "violations": [str(v) for v in violations],
+        "diagnostics": [str(v) for v in drawing_diagnostics(g).violations],
+    }, EX_INVALID if violations else EX_OK
+
+
+def _cmd_recover(args, g) -> tuple[dict, int]:
+    view = recover_original(g)
+    return {
+        "vertices": len(view.vertices),
+        "edges": [list(e) for e in view.edges],
+        "degrees": {str(v): view.degrees[v] for v in view.vertices},
+        "min_degree": view.min_degree(),
+    }, EX_OK
+
+
+# A light-edges status's exit code; any other status is a counterexample
+# candidate.
+_LIGHT_EDGES_EXIT = {WITNESS_FOUND: EX_OK, HYPOTHESIS_UNMET: EX_HYPOTHESIS}
+
+
+def _cmd_light_edges(args, g) -> tuple[dict, int]:
     verdict = check_light_edge_guarantee(g)
-    doc = {
-        "command": "light-edges",
-        "input": args.input,
+    return {
         "profile": "thm12",  # always BOUNDS; the key keeps the report's shape
         "status": verdict.status,
         "min_degree": verdict.min_degree,
         "witness": _witness_dict(verdict.witness) if verdict.witness else None,
-    }
-    if args.format == "json":
-        print(_light_edges_json(doc, verdict.light_edges))
-    else:
-        doc["light_edges"] = [_witness_dict(w) for w in verdict.light_edges]
-        _emit(doc, args.format)
-    if verdict.status == WITNESS_FOUND:
-        return EX_OK
-    if verdict.status == HYPOTHESIS_UNMET:
-        return EX_HYPOTHESIS
-    return EX_CANDIDATE
+        "light_edges": verdict.light_edges,
+    }, _LIGHT_EDGES_EXIT.get(verdict.status, EX_CANDIDATE)
 
 
-@_on_valid_drawing
-def _cmd_discharge(args, g) -> int:
+def _cmd_discharge(args, g) -> tuple[dict, int]:
     final, transfers = apply_discharging(g)
     initial, final_total = initial_total(g), exact_sum(final.values())
-    doc = {
-        "command": "discharge",
-        "input": args.input,
+    fields = {
         "initial_total": str(initial),
         "final_total": str(final_total),
         "conserved": final_total == initial,
@@ -262,18 +248,14 @@ def _cmd_discharge(args, g) -> int:
     }
     if args.ledger:
         Path(args.ledger).write_text("\n".join(ledger_lines(transfers)) + "\n", encoding="utf-8")
-        doc["ledger"] = args.ledger
-    _emit(doc, args.format)
-    return EX_OK
+        fields["ledger"] = args.ledger
+    return fields, EX_OK
 
 
-@_on_valid_drawing
-def _cmd_audit(args, g) -> int:
+def _cmd_audit(args, g) -> tuple[dict, int]:
     final, transfers = apply_discharging(g)
     report = run_audit(g, final, transfers)
-    doc = {
-        "command": "audit",
-        "input": args.input,
+    return {
         "initial_total": str(report.initial_total),
         "final_total": str(report.final_total),
         "conserved": report.conserved,
@@ -290,9 +272,7 @@ def _cmd_audit(args, g) -> int:
         "negative_elements": [
             f"{element_label(el)} = {charge}" for el, charge in report.negative_elements
         ],
-    }
-    _emit(doc, args.format)
-    return EX_OK if report.passed else EX_CANDIDATE
+    }, EX_OK if report.passed else EX_CANDIDATE
 
 
 def _cmd_gen(args) -> int:

@@ -83,7 +83,7 @@ of these objects, so a ledger holds no per-transfer copy of an element.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -152,21 +152,24 @@ class Transfer(NamedTuple):
     via: int | None = None
 
 
-def exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """The exact sum of `values`, equal to `sum(values, Fraction(0))`.
+def exact_sum(values: Collection[Fraction]) -> Fraction:
+    """The exact sum of `values` (a list, tuple or dict view), equal to
+    `sum(values, Fraction(0))`.
 
-    Integer numerators are summed per denominator, and one `Fraction` is
-    built per distinct denominator, so a long sum over few denominators
-    normalizes only a few times.
+    An empty collection sums to `ZERO` and a one-item one to that same
+    item. Otherwise integer numerators are summed per denominator, and
+    one `Fraction` is built per distinct denominator, so a long sum over
+    few denominators normalizes only a few times.
     """
+    if len(values) < 2:
+        return next(iter(values), ZERO)
     numerators: dict[int, int] = {}
     for q in values:
         d = q.denominator
         numerators[d] = numerators.get(d, 0) + q.numerator
     if len(numerators) == 1:
         ((d, n),) = numerators.items()
-        # a sum equal to its last term is that term, already normalized
-        return q if n == q.numerator else Fraction(n, d)
+        return Fraction(n, d)
     return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
 
 

@@ -289,7 +289,7 @@ def random_oneplane(params: GeneratorParams) -> AssociatedPlaneGraph:
                 break
             walk = walks[i]
             diag_a, diag_b = frozenset((walk[0], walk[2])), frozenset((walk[1], walk[3]))
-            if diag_a in used_pairs or diag_b in used_pairs or diag_a == diag_b:
+            if diag_a in used_pairs or diag_b in used_pairs:
                 continue
             used_pairs |= {diag_a, diag_b}
             chosen.append(i)

@@ -339,10 +339,11 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
 
     for v in emb.vertices:
         d = emb.degrees[v]
+        if v in false or d not in (3, 4):
+            continue
         corners = emb.corner_faces(v)
-        corner_degs = [emb.face_degrees[f] for f in corners]
-
-        if d == 3 and v not in false:
+        if d == 3:
+            corner_degs = [emb.face_degrees[f] for f in corners]
             triangles = sum(1 for fd in corner_degs if fd == 3)
             false_nbrs = sum(1 for u in rot[v] if u in false)
             if triangles >= 2 and false_nbrs >= 2 and not any(fd >= 5 for fd in corner_degs):
@@ -353,8 +354,7 @@ def drawing_diagnostics(g: AssociatedPlaneGraph) -> ValidationReport:
                         f"{triangles} triangles, {false_nbrs} false neighbors, no 5+-face",
                     )
                 )
-
-        if d == 4 and v not in false and all(is_false_triangle(g, f) for f in corners):
+        elif all(is_false_triangle(g, f) for f in corners):
             flags.append(
                 Violation(ENCIRCLED_4_VERTEX, (v,), "four false triangles around a 4-vertex")
             )

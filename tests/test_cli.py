@@ -157,15 +157,20 @@ def _expected_light_edges_json(path: str, verdict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+# the light-edges exit code of each status
+STATUS_EXIT = {"witness-found": 0, "hypothesis-unmet": 2, "counterexample-candidate": 3}
+
+
 def _light_edges_json_matches(g, bounds, path, capsys, monkeypatch) -> str:
     graphio.save(g, path)
     monkeypatch.setattr(
         cli, "check_light_edge_guarantee", lambda g: check_light_edge_guarantee(g, bounds)
     )
-    main(["light-edges", str(path), "--format", "json"])
+    code = main(["light-edges", str(path), "--format", "json"])
     out = capsys.readouterr().out
     verdict = check_light_edge_guarantee(g, bounds)
     assert out == _expected_light_edges_json(str(path), verdict)
+    assert code == STATUS_EXIT[verdict.status]
     return verdict.status
 
 
@@ -194,6 +199,32 @@ def test_light_edges_json_equals_json_dumps_on_generated_drawings(
     except GenerationFailed:
         reject()
     _light_edges_json_matches(g, BOUNDS, tmp_path / f"{_AWKWARD}.json", capsys, monkeypatch)
+
+
+PINNED_REPORTS = Path(__file__).with_name("pinned_reports.txt")
+
+
+def test_drawing_reports_are_pinned(k5_file, broken_file, tmp_path, capsys, monkeypatch):
+    # Every drawing command in both formats, on a valid drawing and on a
+    # refused one, with each exit code and the ledger file, against the
+    # transcript in pinned_reports.txt. Relative names keep `input` fixed.
+    monkeypatch.chdir(tmp_path)
+    ledger = tmp_path / "out.ledger"
+    transcript = []
+    for name in (Path(k5_file).name, Path(broken_file).name):
+        for command in ("validate", "recover", "light-edges", "discharge", "audit"):
+            for fmt in ("text", "json"):
+                argv = [command, name, "--format", fmt]
+                if command == "discharge":
+                    argv += ["--ledger", ledger.name]
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert err == ""
+                transcript.append(f"=== {' '.join(argv)} -> exit {code}\n{out}")
+                if ledger.exists():
+                    transcript.append(f"--- {ledger.name}\n{ledger.read_text(encoding='utf-8')}")
+                    ledger.unlink()
+    assert "".join(transcript) == PINNED_REPORTS.read_text(encoding="utf-8")
 
 
 def test_audit_command_passes_on_valid_input(k5_file, capsys):
