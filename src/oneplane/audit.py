@@ -43,11 +43,14 @@ charges are possible on ordinary inputs and are merely reported.
 
 The audit collects the amounts of each group (a face's heavy income and
 routed outflow, a (face, routing vertex) pair's outflow, a transitive
-corner's income and a (face, vertex) payment) and sums each group once,
-so every reported value is exact. Payments are summed only for the
-(face, vertex) pairs a payment gate owes. The pi+ income is read at
-`transitive_corners`, the same corner records the engine's R6 routing
-reads.
+corner's income and a (face, vertex) payment) in one pass over the
+transfers, reading each by unpacking, and sums each group once with
+`exact_sum`, so every reported value is exact. A face with no heavy
+income, or no routed outflow, reads `ZERO` there without a sum.
+Payments are summed only for the (face, vertex) pairs a payment gate
+owes. The triangle gates are looked up by the degree of the paid
+corner. The pi+ income is read at `transitive_corners`, the same corner
+records the engine's R6 routing reads.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .discharging import (
+    ZERO,
     Element,
     Transfer,
     exact_sum,
@@ -67,13 +71,13 @@ from .lightedge import HEAVY
 from .oneplanar import AssociatedPlaneGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceFlow:
     received_heavy: Fraction  # from incident 9+-vertices (HEAVY[6]), by R5
     sent_via_false: Fraction  # routed out through transitive false vertices, by R6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingFlow:
     """Income vs routing demand for one (face, false vertex) pair."""
 
@@ -113,9 +117,9 @@ TWO_THIRDS = Fraction(2, 3)
 ONE_THIRD = Fraction(1, 3)
 FIVE_TWELFTHS = Fraction(5, 12)
 
-# The triangle gates: (degree k of the paid vertex, least degree
+# The triangle gates by degree k of the paid vertex: (least degree
 # HEAVY[k] of the two other corners, floor).
-_TRIANGLE_GATES = ((3, HEAVY[3], TWO_THIRDS), (4, HEAVY[4], ONE_THIRD))
+_TRIANGLE_GATES = {3: (HEAVY[3], TWO_THIRDS), 4: (HEAVY[4], ONE_THIRD)}
 # The quad gate by degree k of its anchor: (least degree HEAVY[k] of the
 # anchor's true face-neighbors, floor, degrees of the paid vertices).
 _QUAD_GATES = {3: (HEAVY[3], FIVE_TWELFTHS, (1, 2, 3, 4)), 4: (HEAVY[4], ONE_THIRD, (4,))}
@@ -135,15 +139,15 @@ def audit(
     routed: defaultdict[tuple[int, int], list[Fraction]] = defaultdict(list)
     payments: list[Transfer] = []  # R7 and R8, to vertices
     for t in transfers:
-        rule = t.rule
+        rule, source, target, amount, via = t
         if rule == "R5":
-            if deg[t.source[1]] >= heavy:
-                received_heavy[t.target[1]].append(t.amount)
+            if deg[source[1]] >= heavy:
+                received_heavy[target[1]].append(amount)
         elif rule.startswith("R6"):
-            f = t.source[1]
-            sent_via[f].append(t.amount)
-            routed[f, t.via].append(t.amount)
-        elif rule in ("R7", "R8") and t.target[0] == "v":
+            f = source[1]
+            sent_via[f].append(amount)
+            routed[f, via].append(amount)
+        elif rule in ("R7", "R8") and target[0] == "v":
             payments.append(t)
 
     face_flow, face_checks = _face_pass(g, received_heavy, sent_via, payments)
@@ -221,8 +225,8 @@ def _face_pass(
 
     face_flow: dict[int, FaceFlow] = {}
     for i, (d, tails) in enumerate(zip(emb.face_degrees, emb.faces)):
-        got = exact_sum(received_heavy.get(i, ()))
-        out = exact_sum(sent_via.get(i, ()))
+        got = exact_sum(received_heavy[i]) if i in received_heavy else ZERO
+        out = exact_sum(sent_via[i]) if i in sent_via else ZERO
         face_flow[i] = FaceFlow(got, out)
         if d >= 4:
             instances["face-balance"] += 1
@@ -237,12 +241,12 @@ def _face_pass(
 
         if d == 3:
             for j, v in enumerate(tails):
-                if v in false:
+                k = deg[v]
+                if k not in _TRIANGLE_GATES or v in false:
                     continue
-                others = min(deg[tails[j - 1]], deg[tails[(j + 1) % 3]])
-                for degree, bound, floor in _TRIANGLE_GATES:
-                    if deg[v] == degree and others >= bound:
-                        pays(f"triangle-pays-{degree}-vertex", i, (v,), floor)
+                least, floor = _TRIANGLE_GATES[k]
+                if min(deg[tails[j - 1]], deg[tails[(j + 1) % 3]]) >= least:
+                    pays(f"triangle-pays-{k}-vertex", i, (v,), floor)
         elif d == 4 and sum(1 for t in tails if t in false) <= 1:
             # a false vertex has degree 4, so a 3-vertex is always true
             anchor = 3 if any(deg[t] == 3 for t in tails) else 4
@@ -262,10 +266,10 @@ def _face_pass(
 
     paid: dict[tuple[int, int], list[Fraction]] = {(i, v): [] for _, i, v, _ in owed}
     if paid:
-        for t in payments:
-            amounts = paid.get((t.source[1], t.target[1]))
+        for _, source, target, amount, _ in payments:
+            amounts = paid.get((source[1], target[1]))
             if amounts is not None:
-                amounts.append(t.amount)
+                amounts.append(amount)
     for name, i, v, floor in owed:
         got = exact_sum(paid[i, v])
         if got < floor:

@@ -79,6 +79,16 @@ the final charges are built through one memo per run, so there is one
 A run builds one element tuple per vertex and one per face. Every
 transfer's source and target and every key of the final charges is one
 of these objects, so a ledger holds no per-transfer copy of an element.
+
+The per-record work of a run costs C-level calls, not a Python frame
+per record. Each transfer is built where its rule emits it, as
+`tuple.__new__(Transfer, fields)`: one C call, where the `Transfer`
+constructor runs the NamedTuple's Python-level `__new__` and takes
+nearly twice as long. The rules that emit several transfers at once (R5, R6,
+R7, R8) emit them as list comprehensions, `_apply` and the audit read
+each record by unpacking it, and the R7/R8 recipients are tested
+against sets built once per run. Rows are not built first and
+converted to `Transfer`s at the end: that holds both lists at once.
 """
 
 from __future__ import annotations
@@ -86,7 +96,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -152,33 +162,38 @@ class Transfer(NamedTuple):
     via: int | None = None
 
 
+# `_new(Transfer, (rule, source, target, amount, via))` builds the same
+# record as `Transfer(rule, source, target, amount, via)` in one C call;
+# the NamedTuple constructor runs a Python-level `__new__` per record.
+_new = tuple.__new__
+
+
 def exact_sum(values: Collection[Fraction]) -> Fraction:
     """The exact sum of `values` (a list, tuple or dict view), equal to
     `sum(values, Fraction(0))`.
 
     An empty collection sums to `ZERO` and a one-item one to that same
-    item. Otherwise integer numerators are summed per denominator, and
-    one `Fraction` is built per distinct denominator, so a long sum over
-    few denominators normalizes only a few times.
+    item. Otherwise integer numerators are summed per denominator, then
+    over the lcm of the distinct denominators, and one `Fraction` is
+    built for the total, so a sum normalizes once however many
+    denominators it holds.
     """
     if len(values) < 2:
         return next(iter(values), ZERO)
     numerators: dict[int, int] = {}
     for q in values:
-        d = q.denominator
-        numerators[d] = numerators.get(d, 0) + q.numerator
-    if len(numerators) == 1:
-        ((d, n),) = numerators.items()
-        return Fraction(n, d)
-    return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
+        n, d = q.as_integer_ratio()
+        numerators[d] = numerators.get(d, 0) + n
+    den = lcm(*numerators)
+    return Fraction(sum([n * (den // d) for d, n in numerators.items()]), den)
 
 
 def _initial_excess(g: AssociatedPlaneGraph) -> dict[Element, int]:
     """degree - 4 for every vertex, then for every face, in ledger key order."""
     emb = g.embedding
     deg = emb.degrees
-    excess = {vertex(v): deg[v] - 4 for v in emb.vertices}
-    excess.update((face(i), d - 4) for i, d in enumerate(emb.face_degrees))
+    excess = {("v", v): deg[v] - 4 for v in emb.vertices}
+    excess.update((("f", i), d - 4) for i, d in enumerate(emb.face_degrees))
     return excess
 
 
@@ -197,7 +212,7 @@ def initial_total(g: AssociatedPlaneGraph) -> Fraction:
     return Fraction(sum(deg.values()) + sum(emb.face_degrees) - 4 * (len(deg) + emb.face_count()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialFace:
     """A (false 3-face, pivot) pair satisfying the k-special pattern."""
 
@@ -222,7 +237,7 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     # each corner's first endpoint and its opposite: the segments 0-2
     # and 1-3, both ways round
     crossed = {(near, far) for hood in hoods for near, _, far, _, _ in hood.corners}
-    records = []
+    keys = []  # (face, pivot, k, partner), sorted before the records are built
     for hood in hoods:
         for near_a, near_b, far_a, far_b, f in hood.corners:
             if fdeg[f] != 3:
@@ -240,9 +255,11 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
                     continue
                 link = (partner, pivot_far)
                 if link in darts or link in crossed:
-                    records.append(SpecialFace(f, pivot, k, partner))
-    records.sort(key=lambda s: (s.face, s.pivot))
-    return records
+                    keys.append((f, pivot, k, partner))
+    # a (face, pivot) pair occurs once, since a false triangle has one
+    # false vertex, so the sort never compares k or partner
+    keys.sort()
+    return [SpecialFace(*key) for key in keys]
 
 
 def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
@@ -273,12 +290,12 @@ def _phase_a(
     deg = emb.degrees
     fdeg = emb.face_degrees
     false = g.false_vertices
-    transfers: list[Transfer] = []
     pivot_keys = {(s.pivot, s.face) for s in specials}
-
-    for s in specials:
-        if s.k == 4:
-            transfers.append(Transfer("R1", at_vertex[s.pivot], at_face[s.face], R1_AMOUNT))
+    transfers = [
+        _new(Transfer, ("R1", at_vertex[s.pivot], at_face[s.face], R1_AMOUNT, None))
+        for s in specials
+        if s.k == 4
+    ]
 
     r5: dict[int, Fraction] = {}  # one R5 amount per degree
     for v in emb.vertices:
@@ -294,20 +311,19 @@ def _phase_a(
             for f in corners:
                 if fdeg[f] == 3:
                     amt = special_amt if (v, f) in pivot_keys else plain_amt
-                    transfers.append(Transfer(rule, src, at_face[f], amt))
+                    transfers.append(_new(Transfer, (rule, src, at_face[f], amt, None)))
         elif d == 7:
             for f in corners:
                 if is_false_triangle(g, f):
-                    transfers.append(Transfer("R4", src, at_face[f], R4_AMOUNT))
+                    transfers.append(_new(Transfer, ("R4", src, at_face[f], R4_AMOUNT, None)))
         else:
             amt = r5.get(d)
             if amt is None:
                 amt = r5[d] = Fraction(d - 4, d)
-            for f in corners:
-                transfers.append(Transfer("R5", src, at_face[f], amt))
+            transfers += [_new(Transfer, ("R5", src, at_face[f], amt, None)) for f in corners]
 
     for hood in crossing_neighborhoods(g):
-        transfers.extend(_route_through_crossing(g, hood, at_vertex, at_face))
+        transfers += _route_through_crossing(g, hood, at_vertex, at_face)
     return transfers
 
 
@@ -351,35 +367,34 @@ def _route_through_crossing(
             targets, amt = (beyond_a, beyond_b), amounts[0]
         else:
             targets, amt = (beyond_a if da <= 6 else beyond_b,), amounts[1]
-        transfers.extend(Transfer(rule, src, t, amt, via=hood.false_vertex) for t in targets)
+        via = hood.false_vertex
+        transfers += [_new(Transfer, (rule, src, t, amt, via)) for t in targets]
     return transfers
 
 
 def _exact(memo: dict[tuple[int, int], Fraction], n: int, d: int) -> Fraction:
-    """`Fraction(n, d)`, one object per value among those built through
-    `memo`: each is stored under the pair as given and under its lowest
-    terms, so unequal pairs of one value share an object."""
-    q = memo.get((n, d))
-    if q is None:
-        q = Fraction(n, d)
-        q = memo[n, d] = memo.setdefault((q.numerator, q.denominator), q)
+    """`Fraction(n, d)` for a pair that `memo` does not hold; callers read
+    `memo` first. The value is stored under the pair as given and under
+    its lowest terms, so unequal pairs of one value share an object, and
+    there is one object per value among those built through `memo`."""
+    q = Fraction(n, d)
+    q = memo[n, d] = memo.setdefault(q.as_integer_ratio(), q)
     return q
 
 
 def _apply(charges: dict[Element, list[int]], transfers: list[Transfer]) -> None:
     """Move every transfer's amount between the [numerator, denominator]
     pairs of `charges`, scaling to the lcm of unequal denominators."""
-    for t in transfers:
-        amount = t.amount
-        n, d = amount.numerator, amount.denominator
-        pair = charges[t.source]
+    for _, source, target, amount, _ in transfers:
+        n, d = amount.as_integer_ratio()
+        pair = charges[source]
         if pair[1] == d:
             pair[0] -= n
         else:
             k = gcd(pair[1], d)
             pair[0] = pair[0] * (d // k) - n * (pair[1] // k)
             pair[1] = pair[1] // k * d
-        pair = charges[t.target]
+        pair = charges[target]
         if pair[1] == d:
             pair[0] += n
         else:
@@ -392,7 +407,6 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[dict[Element, Fraction],
     """Run all rules and return the final charges plus the full ledger."""
     emb = g.embedding
     deg = emb.degrees
-    fdeg = emb.face_degrees
     false = g.false_vertices
     charges = {el: [k, 1] for el, k in _initial_excess(g).items()}
     # the run's one element tuple per vertex and per face, shared by its
@@ -405,30 +419,42 @@ def apply_discharging(g: AssociatedPlaneGraph) -> tuple[dict[Element, Fraction],
     transfers = _phase_a(g, find_special_faces(g), at_vertex, at_face)
     _apply(charges, transfers)
 
-    # R7 and R8 in one pass over the faces; see the module docstring
+    # R7 and R8 in one pass over the faces; see the module docstring.
+    # Their recipients by degree, each set built once per run: R7 pays
+    # the true vertices of degree at most 4, R8 prepays the 3-vertices
+    # and then pays the true 4-vertices.
+    r7_takers = {v for v, d in deg.items() if d <= 4} - false
+    r8_takers = {v for v in r7_takers if deg[v] == 4}
+    r8_prepaid = {v for v, d in deg.items() if d == 3}
     r7: list[Transfer] = []
     r8: list[Transfer] = []
-    for i, (d, tails) in enumerate(zip(fdeg, emb.faces)):
-        src = at_face[i]
+    for src, d, tails in zip(at_face, emb.face_degrees, emb.faces):
         n, den = charges[src]
         if d <= 4:
             rule, out = "R7", r7
-            takers = [t for t in tails if t not in false and deg[t] <= 4]
+            takers = list(filter(r7_takers.__contains__, tails))
         else:
             rule, out = "R8", r8
-            prepaid = [t for t in tails if deg[t] == 3]
-            r8.extend(Transfer("R8", src, at_vertex[t], R8_PREPAY) for t in prepaid)
+            prepaid = list(filter(r8_prepaid.__contains__, tails))
+            r8 += [_new(Transfer, ("R8", src, at_vertex[t], R8_PREPAY, None)) for t in prepaid]
             pay = R8_PREPAY.numerator * len(prepaid)
             n, den = n * R8_PREPAY.denominator - pay * den, den * R8_PREPAY.denominator
-            takers = [t for t in tails if t not in false and deg[t] == 4]
+            takers = list(filter(r8_takers.__contains__, tails))
         if takers and n != 0:
-            share = _exact(memo, n, den * len(takers))
-            out.extend(Transfer(rule, src, at_vertex[t], share) for t in takers)
-    late = r7 + r8
-    _apply(charges, late)
-    transfers.extend(late)
+            den *= len(takers)
+            share = memo.get((n, den))
+            if share is None:
+                share = _exact(memo, n, den)
+            out += [_new(Transfer, (rule, src, at_vertex[t], share, None)) for t in takers]
+    _apply(charges, r7)
+    _apply(charges, r8)
+    transfers += r7
+    transfers += r8
 
-    final = {el: _exact(memo, n, d) for el, (n, d) in charges.items()}
+    final = {}
+    for el, (n, d) in charges.items():
+        q = memo.get((n, d))
+        final[el] = _exact(memo, n, d) if q is None else q
     return final, transfers
 
 

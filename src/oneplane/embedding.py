@@ -17,14 +17,15 @@ neighbors. `build_embedding` copies it once, into a dict of tuples,
 and `PlaneEmbedding.rotation` is that copy: the embedding's own table,
 which callers must not modify.
 
-A build tests each rotation as a whole (its length, loop and unknown
-neighbors against its successor table), tests the types of all ids and
-neighbors at once (ids and neighbors must be ints: a bool or a float
-such as 1.0 equals an int id but is not one), and finds an asymmetric
-edge as a successor the face walk cannot read. Only when such a test
-fails does the per-dart scan run, to name the first fault in table
-order, as it would have alone. Rotation faults come before
-disconnection, and disconnection before a failed Euler test.
+A build tests the whole table at once, each test one C-level pass: the
+types of all ids and neighbors (ids and neighbors must be ints: a bool
+or a float such as 1.0 equals an int id but is not one), a repeated
+neighbor (the successor tables hold fewer entries than the rotations)
+and a loop. It finds an unknown neighbor or an asymmetric edge as a
+successor the face walk cannot read. Only when such a test fails does
+the per-dart scan run, to name the first fault in table order, as it
+would have alone. Rotation faults come before disconnection, and
+disconnection before a failed Euler test.
 
 Face indexing is deterministic: faces are numbered in the order of
 their least darts, and each walk starts at the tail of its least dart,
@@ -131,14 +132,10 @@ def _check_rotation(table: dict[int, tuple[int, ...]], succ: dict[int, dict[int,
 
 def _check_connected(table: dict[int, tuple[int, ...]]) -> None:
     start = next(iter(table))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in table[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
+    seen = frontier = {start}
+    while frontier:
+        frontier = set().union(*map(table.__getitem__, frontier)) - seen
+        seen |= frontier
     if len(seen) != len(table):
         raise Disconnected(f"{len(table) - len(seen)} vertices unreachable from {start}")
 
@@ -150,16 +147,16 @@ def _trace_faces(
     faces: list[tuple[int, ...]] = []
     for u in sorted(table):
         for v in sorted(table[u]):
-            start = cur = (u, v)
-            if start in face_of:
+            if (u, v) in face_of:
                 continue
+            i = len(faces)
             walk: list[int] = []
+            tail, head = u, v
             while True:
-                face_of[cur] = len(faces)
-                tail, head = cur
+                face_of[tail, head] = i
                 walk.append(tail)
-                cur = (head, succ[head][tail])
-                if cur == start:
+                tail, head = head, succ[head][tail]
+                if tail == u and head == v:
                     break
             faces.append(tuple(walk))
     return faces, face_of
@@ -180,18 +177,19 @@ def build_embedding(rotation: dict[int, list[int] | tuple[int, ...]]) -> PlaneEm
     # succ[v][u]: the neighbor that follows u in the cyclic order at v
     succ = {v: dict(zip(r, r[1:] + r[:1])) for v, r in table.items()}
     keys = table.keys()
+    # whole-table tests, each one C-level pass: the types; a repeated
+    # neighbor, as successor tables shorter than the rotations; a loop
     if (
         not table
         or set(map(type, chain(keys, chain.from_iterable(table.values())))) != {int}
-        or any(
-            len(s) != len(r) or v in s or not s.keys() <= keys
-            for (v, r), s in zip(table.items(), succ.values())
-        )
+        or sum(map(len, succ.values())) != sum(map(len, table.values()))
+        or any(map(dict.__contains__, succ.values(), keys))
     ):
         _check_rotation(table, succ)
     # Now no rotation repeats a neighbor, so each face walk returns to
-    # its start unless it reads succ[head][tail] for a dart whose
-    # reverse is missing; every dart's successor is read.
+    # its start unless it reads succ[head][tail] for a dart whose head
+    # is unknown or whose reverse is missing; every dart's successor is
+    # read.
     try:
         faces, face_of = _trace_faces(table, succ)
     except KeyError:

@@ -129,7 +129,9 @@ def loads(text: str) -> AssociatedPlaneGraph:
     if not isinstance(rotation_doc, dict):
         raise GraphFormatError("'rotation' must be an object keyed by vertex id")
     rotation = _rotation(rotation_doc, len(vertices))
-
+    # the build needs only the rotation lists: the document, its vertex
+    # entries and its rotation object are released before it runs
+    del doc, vertices, rotation_doc
     return build_drawing(rotation, false_vertices)
 
 

@@ -41,7 +41,7 @@ def classify_edge(a: int, b: int, bounds: Mapping[int, int] = BOUNDS) -> str | N
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LightEdgeWitness:
     edge: tuple[int, int]
     degrees: tuple[int, int]
@@ -54,19 +54,23 @@ def find_light_edges(
     """All light edges of the recovered graph, sorted by the smaller
     endpoint degree, as a number (so T3 comes before T10), then by edge."""
     deg = view.degrees
+    # (least degree, edge, degrees, type) per light edge, sorted before
+    # the records are built; edges are unique, so the sort never
+    # compares the degrees or the type
     found = []
     # light type per distinct (degree, degree) pair, classified once
     types: dict[tuple[int, int], str | None] = {}
-    for a, b in view.edges:
+    for edge in view.edges:
+        a, b = edge
         degrees = (deg[a], deg[b])
         try:
             tag = types[degrees]
         except KeyError:
             tag = types[degrees] = classify_edge(*degrees, bounds)
         if tag is not None:
-            found.append(LightEdgeWitness((a, b), degrees, tag))
-    found.sort(key=lambda w: (min(w.degrees), w.edge))
-    return found
+            found.append((min(degrees), edge, degrees, tag))
+    found.sort()
+    return [LightEdgeWitness(edge, degrees, tag) for _, edge, degrees, tag in found]
 
 
 WITNESS_FOUND = "witness-found"

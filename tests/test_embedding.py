@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from naive_oracle import naive_faces
@@ -13,9 +13,11 @@ from oneplane.embedding import (
     Disconnected,
     MalformedRotation,
     NotPlane,
+    _check_rotation,
     build_embedding,
     euler_characteristic,
 )
+from oneplane.generators import GenerationFailed, GeneratorParams, random_oneplane
 
 TRIANGLE = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
 K4 = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
@@ -191,6 +193,74 @@ def test_malformed_rotation_messages_and_first_error(rotation, message):
     with pytest.raises(MalformedRotation) as err:
         build_embedding(rotation)
     assert str(err.value) == message
+
+
+ROTATION_FAULTS = (
+    "repeated neighbor",
+    "loop",
+    "unknown neighbor",
+    "one-way edge",
+    "bool id",
+    "float id",
+    "bool neighbor",
+    "float neighbor",
+)
+
+
+def inject_fault(rotation: dict, fault: str, v: int, j: int) -> dict:
+    """A copy of `rotation` with one fault at vertex v, at position j of
+    its rotation (taken modulo the rotation's length)."""
+    r = list(rotation[v])
+    j %= len(r)
+    if fault == "repeated neighbor":
+        r.insert(j, r[(j + 1) % len(r)])
+    elif fault == "loop":
+        r.insert(j, v)
+    elif fault == "unknown neighbor":
+        r.insert(j, len(rotation))
+    elif fault == "one-way edge":
+        del r[j]
+    elif fault == "bool neighbor":
+        r.insert(j, True)
+    elif fault == "float neighbor":
+        r[j] = float(r[j])
+    elif fault in ("bool id", "float id"):
+        # the id keeps its place in the table; a bool replaces 0 or 1
+        if fault == "bool id":
+            v = v % 2
+        key = bool(v) if fault == "bool id" else float(v)
+        return {key if u == v else u: rotation[u] for u in rotation}
+    return {**rotation, v: r}
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    size=st.integers(4, 40),
+    density=st.sampled_from([0.0, 0.5, 1.0]),
+    fault=st.sampled_from(ROTATION_FAULTS),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_whole_table_check_names_every_injected_fault(seed, size, density, fault, data):
+    """A build names a fault anywhere in the table exactly as the
+    per-dart scan `_check_rotation` does alone, and an unmodified table
+    builds."""
+    try:
+        g = random_oneplane(GeneratorParams(seed, size, density))
+    except GenerationFailed:
+        reject()
+    rotation = {v: list(r) for v, r in g.embedding.rotation.items()}
+    assert build_embedding(rotation).faces == g.embedding.faces
+    v = data.draw(st.sampled_from(sorted(rotation)), label="vertex")
+    j = data.draw(st.integers(0, len(rotation[v]) - 1), label="position")
+    bad = inject_fault(rotation, fault, v, j)
+    table = {u: tuple(r) for u, r in bad.items()}
+    succ = {u: dict(zip(r, r[1:] + r[:1])) for u, r in table.items()}
+    with pytest.raises(MalformedRotation) as alone:
+        _check_rotation(table, succ)
+    with pytest.raises(MalformedRotation) as built:
+        build_embedding(bad)
+    assert str(built.value) == str(alone.value)
 
 
 def test_asymmetric_rotation_rejected():
