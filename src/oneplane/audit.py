@@ -110,7 +110,7 @@ class AuditReport:
 
     @property
     def passed(self) -> bool:
-        return self.conserved and all(c.passed for c in self.checks)
+        return all(c.passed for c in self.checks)
 
 
 TWO_THIRDS = Fraction(2, 3)

@@ -14,16 +14,9 @@ the id written in its canonical decimal form ("1", not " 1", "01" or
 their stored starting neighbor, so parse -> serialize -> parse is the
 identity and serialization of a given drawing is byte-stable.
 
-The vertex list and the rotation object are each tested as a whole (the
-set of their value types, the id range, the key set). Only when such a
-test fails does the entry-by-entry scan run, to name the first bad
-entry with the message and offset it would have given alone.
-
-Repeated keys are found the same way, by a whole-document count: a
-plain parse is kept when the text's ":" count equals the pairs of the
-top-level object, the vertex entries and the rotation object. Only on a
-mismatch or a parse error does the parse run again with a hook that
-tests every object, and its error is the one reported.
+The document is parsed once, with a hook that rejects a repeated key in
+any object. The vertex list and then the rotation object are read entry
+by entry, and the first bad entry is the one named.
 
 `dumps` writes those two lists, the vertex entries and the rotation
 rows, through one fixed template per entry. Its text is that of
@@ -37,8 +30,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 from .oneplanar import AssociatedPlaneGraph, build_drawing
@@ -64,7 +56,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _hook_parse(text: str):
+def _parse(text: str):
     """The JSON document, parsed with a hook that rejects a repeated key
     in any object; every parse error becomes a GraphFormatError."""
     try:
@@ -76,39 +68,6 @@ def _hook_parse(text: str):
         raise GraphFormatError(f"invalid JSON at byte {offset}: {err.msg}", offset) from None
     except (RecursionError, ValueError) as err:  # nesting too deep, integer too long
         raise GraphFormatError(f"unreadable JSON: {err}") from None
-
-
-def _pair_count(doc: dict) -> int:
-    """The pairs of the top-level object, of the vertex entries and of
-    the rotation object; vertex entries count only when all are objects."""
-    count = len(doc)
-    vertices = doc.get("vertices")
-    if type(vertices) is list and set(map(type, vertices)) <= {dict}:
-        count += sum(map(len, vertices))
-    rotation = doc.get("rotation")
-    if type(rotation) is dict:
-        count += len(rotation)
-    return count
-
-
-def _parse(text: str):
-    """`_hook_parse(text)`, from a plain parse where the text allows.
-
-    Every pair in the text holds a ":", and a repeated key drops a pair,
-    so the colons are at least the pairs in the text, which are at least
-    the pairs kept, which are at least the pairs `_pair_count` counts.
-    When the colons equal that count, no key repeats and the plain parse
-    is the hook's document. Otherwise, and on any parse error, the hook
-    parse runs, so every error and byte offset is the hook's.
-    """
-    try:
-        doc = json.loads(text)
-    except (RecursionError, ValueError):
-        pass  # `_hook_parse` names the error
-    else:
-        if type(doc) is dict and _pair_count(doc) == text.count(":"):
-            return doc
-    return _hook_parse(text)
 
 
 def loads(text: str) -> AssociatedPlaneGraph:
@@ -136,73 +95,45 @@ def loads(text: str) -> AssociatedPlaneGraph:
 
 
 def _false_vertices(vertices: list) -> frozenset[int]:
-    """The ids marked false. Every entry must hold an integer id and a
-    boolean mark, and the ids must be dense from 0."""
-    if set(map(type, vertices)) == {dict}:
-        try:
-            ids = list(map(itemgetter("id"), vertices))
-            marks = list(map(itemgetter("false"), vertices))
-        except KeyError:
-            pass
-        else:
-            if (
-                set(map(type, ids)) == {int}
-                and set(map(type, marks)) == {bool}
-                and min(ids) >= 0
-                and max(ids) == len(ids) - 1
-                and len(set(ids)) == len(ids)
-            ):
-                return frozenset(compress(ids, marks))
-    return _scan_vertices(vertices)
-
-
-def _scan_vertices(vertices: list) -> frozenset[int]:
-    """`_false_vertices` entry by entry, raising at the first bad entry."""
+    """The ids marked false, entry by entry, raising at the first bad
+    entry. Every entry must hold a non-negative integer id and a boolean
+    mark, and the ids must be dense from 0."""
     false_vertices: set[int] = set()
     ids: set[int] = set()
     for entry in vertices:
-        if not isinstance(entry, dict) or type(entry.get("id")) is not int or entry["id"] < 0:
+        v = entry.get("id") if isinstance(entry, dict) else None
+        if type(v) is not int or v < 0:
             raise GraphFormatError(f"vertex entry {entry!r} needs a non-negative integer 'id'")
-        if not isinstance(entry.get("false"), bool):
-            raise GraphFormatError(f"vertex {entry['id']} needs a boolean 'false' mark")
-        if entry["id"] in ids:
-            raise GraphFormatError(f"duplicate vertex id {entry['id']}")
-        ids.add(entry["id"])
-        if entry["false"]:
-            false_vertices.add(entry["id"])
-    if ids != set(range(len(ids))):
+        mark = entry.get("false")
+        if not isinstance(mark, bool):
+            raise GraphFormatError(f"vertex {v} needs a boolean 'false' mark")
+        if v in ids:
+            raise GraphFormatError(f"duplicate vertex id {v}")
+        ids.add(v)
+        if mark:
+            false_vertices.add(v)
+    # distinct non-negative ids are dense from 0 when the largest is one
+    # less than their count
+    if max(ids) != len(ids) - 1:
         raise GraphFormatError("vertex ids must be dense from 0")
     return frozenset(false_vertices)
 
 
 def _rotation(rotation_doc: dict, n: int) -> dict[int, list[int]]:
-    """The rotation table of vertices 0..n-1, in document order."""
-    nbrs = rotation_doc.values()
-    # the value types first: `chain` raises on an integer value
-    if (
-        len(rotation_doc) == n
-        and rotation_doc.keys() <= set(map(str, range(n)))
-        and set(map(type, nbrs)) <= {list}
-        and set(map(type, chain.from_iterable(nbrs))) <= {int}
-    ):
-        return dict(zip(map(int, rotation_doc), nbrs))
-    return _scan_rotation(rotation_doc, n)
-
-
-def _scan_rotation(rotation_doc: dict, n: int) -> dict[int, list[int]]:
-    """`_rotation` entry by entry, raising at the first bad entry."""
+    """The rotation table of vertices 0..n-1, in document order, entry
+    by entry, raising at the first bad entry."""
     rotation: dict[int, list[int]] = {}
     id_of_key = {str(v): v for v in range(n)}
     for key, nbrs in rotation_doc.items():
         if key not in id_of_key:
             raise GraphFormatError(f"rotation key {key!r} is not a declared vertex id")
         v = id_of_key[key]
-        if not isinstance(nbrs, list) or not all(type(u) is int for u in nbrs):
+        if not isinstance(nbrs, list) or not set(map(type, nbrs)) <= {int}:
             raise GraphFormatError(f"rotation of vertex {v} must be a list of integers")
         rotation[v] = nbrs
-    missing = set(range(n)) - set(rotation)
-    if missing:
-        raise GraphFormatError(f"vertices without a rotation entry: {sorted(missing)}")
+    if len(rotation) < n:
+        missing = sorted(set(range(n)) - rotation.keys())
+        raise GraphFormatError(f"vertices without a rotation entry: {missing}")
     return rotation
 
 
