@@ -17,15 +17,15 @@ neighbors. `build_embedding` copies it once, into a dict of tuples,
 and `PlaneEmbedding.rotation` is that copy: the embedding's own table,
 which callers must not modify.
 
-A build tests the whole table at once, each test one C-level pass: the
-types of all ids and neighbors (ids and neighbors must be ints: a bool
-or a float such as 1.0 equals an int id but is not one), a repeated
-neighbor (the successor tables hold fewer entries than the rotations)
-and a loop. It finds an unknown neighbor or an asymmetric edge as a
-successor the face walk cannot read. Only when such a test fails does
-the per-dart scan run, to name the first fault in table order, as it
-would have alone. Rotation faults come before disconnection, and
-disconnection before a failed Euler test.
+A build tests the table in one pass, entry by entry, as it derives the
+successors. Ids and neighbors must be ints (a bool or a float such as
+1.0 equals an int id but is not one); a successor table shorter than
+its rotation shows a repeated neighbor, and a vertex among its own
+successors a loop. The face walk finds an unknown neighbor or an
+asymmetric edge as a successor it cannot read. A failed test runs the
+per-dart scan, which names the first fault in table order. Rotation
+faults come before disconnection, and disconnection before a failed
+Euler test.
 
 Face indexing is deterministic: faces are numbered in the order of
 their least darts, and each walk starts at the tail of its least dart,
@@ -36,9 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 
 HalfEdge = tuple[int, int]
+_INTS = frozenset([int])
 
 
 class MalformedRotation(ValueError):
@@ -104,6 +105,8 @@ class PlaneEmbedding:
 
 
 def _check_rotation(table: dict[int, tuple[int, ...]], succ: dict[int, dict[int, int]]) -> None:
+    """Raise MalformedRotation naming the first fault in table order. A
+    vertex missing from `succ` is read from its rotation, unhashed."""
     if not table:
         raise MalformedRotation("empty rotation system")
     for v, nbrs in table.items():
@@ -124,7 +127,7 @@ def _check_rotation(table: dict[int, tuple[int, ...]], succ: dict[int, dict[int,
                 raise MalformedRotation(f"vertex {v} lists neighbor {u} twice")
             seen.add(u)
         for u in nbrs:
-            if v not in succ[u]:
+            if v not in succ.get(u, table[u]):
                 raise MalformedRotation(f"edge {v}-{u} is not symmetric")
     if not any(table.values()):
         raise MalformedRotation("rotation system has no edges")
@@ -167,34 +170,30 @@ def build_embedding(rotation: dict[int, list[int] | tuple[int, ...]]) -> PlaneEm
 
     `rotation` maps each vertex to a sequence of its neighbors; the
     embedding keeps its own copy, one tuple per vertex, so later changes
-    to the caller's table do not reach it. Raises MalformedRotation for
+    to the caller's table do not reach it. One pass builds each vertex's
+    successors and tests its entry, then the face walk runs. Raises
+    MalformedRotation, naming the first fault in table order, for
     asymmetric, looped, or duplicated adjacencies and for a vertex id or
-    neighbor that is not an int (a bool or a float such as 1.0 equals an
-    int id but is none), Disconnected for multi-component input, and
-    NotPlane when the traced faces violate Euler's identity V - E + F = 2.
+    neighbor that is not an int, Disconnected for multi-component input,
+    and NotPlane when the traced faces violate Euler's identity
+    V - E + F = 2.
     """
     table = dict(zip(rotation, map(tuple, rotation.values())))
     # succ[v][u]: the neighbor that follows u in the cyclic order at v
-    succ = {v: dict(zip(r, r[1:] + r[:1])) for v, r in table.items()}
-    keys = table.keys()
-    # whole-table tests, each one C-level pass: the types; a repeated
-    # neighbor, as successor tables shorter than the rotations; a loop
-    if (
-        not table
-        or set(map(type, chain(keys, chain.from_iterable(table.values())))) != {int}
-        or sum(map(len, succ.values())) != sum(map(len, table.values()))
-        or any(map(dict.__contains__, succ.values(), keys))
-    ):
-        _check_rotation(table, succ)
-    # Now no rotation repeats a neighbor, so each face walk returns to
-    # its start unless it reads succ[head][tail] for a dart whose head
-    # is unknown or whose reverse is missing; every dart's successor is
-    # read.
+    succ: dict[int, dict[int, int]] = {}
     try:
+        for v, r in table.items():
+            if type(v) is not int or not _INTS.issuperset(map(type, r)):
+                raise KeyError
+            s = succ[v] = dict(zip(r, r[1:] + r[:1]))
+            if len(s) < len(r) or v in s:  # a repeated neighbor, or a loop
+                raise KeyError
+        # No rotation repeats a neighbor: each face walk returns to its start
+        # or reads succ[head][tail] for an unknown head or a missing reverse.
         faces, face_of = _trace_faces(table, succ)
+        if not faces:  # no vertex, or no edge
+            raise KeyError
     except KeyError:
-        faces, face_of = [], {}
-    if not faces:  # an asymmetric edge, or no edge at all
         _check_rotation(table, succ)
     _check_connected(table)
 

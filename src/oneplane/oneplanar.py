@@ -134,13 +134,13 @@ def build_drawing(
     """Build and embed a planarized drawing from a rotation table.
 
     Vertex ids, neighbors and false-vertex marks must be ints; a mark
-    that is not one, such as 2.0 for vertex 2, raises ValueError, and so
-    does a mark naming no vertex."""
+    that is not one, such as 2.0 for vertex 2 or the list [2], raises
+    ValueError, and so does a mark naming no vertex."""
     emb = build_embedding(rotation)
-    marks = frozenset(false_vertices)
-    for m in marks:
+    for m in false_vertices:
         if type(m) is not int:
             raise ValueError(f"false-vertex mark {m!r} is a {type(m).__name__}, not an integer")
+    marks = frozenset(false_vertices)
     if not marks <= emb.rotation.keys():
         unknown = sorted(marks - emb.rotation.keys())
         raise ValueError(f"false-vertex marks name unknown vertices: {unknown}")

@@ -255,9 +255,10 @@ def test_ids_neighbors_and_marks_must_be_ints():
     with pytest.raises(MalformedRotation, match="lists neighbor 1.0, a float, not an integer"):
         build_drawing({0: [1.0, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]})
     g = crossing_gadget(24, 30, 3, 4, "quad")
-    for mark, kind in ((2.0, "float"), (True, "bool")):
+    # an unhashable mark is refused too, before a set of marks is built
+    for mark, kind in ((2.0, "float"), (True, "bool"), ([5], "list")):
         with pytest.raises(ValueError) as err:
-            build_drawing(g.embedding.rotation, {mark})
+            build_drawing(g.embedding.rotation, [mark])
         assert str(err.value) == f"false-vertex mark {mark} is a {kind}, not an integer"
     with pytest.raises(ValueError, match=r"unknown vertices: \[99\]"):
         build_drawing(g.embedding.rotation, {2, 99})

@@ -1,13 +1,14 @@
 """Operator and min/max mutation testing of the checker's core modules.
 
 Each mutant makes one edit in `discharging`, `audit`, `lightedge`,
-`oneplanar` or `graphio`: it swaps one comparison operator (`<` and
-`<=`, `>` and `>=`, `==` and `!=`, `in` and `not in`) or the name of one
-`min` or `max` call, and the tier-1 suite runs on it with `-x`. A mutant
-the suite fails on is killed; one it passes survives. A survivor must be
-listed in `tools/equivalent_mutants.txt`, which names the mutants known
-to behave exactly as the original code does, each with its reason. Every
-unlisted survivor is a gap in the tests, and the run exits 1.
+`oneplanar`, `graphio` or `embedding`: it swaps one comparison operator
+(`<` and `<=`, `>` and `>=`, `==` and `!=`, `in` and `not in`) or the
+name of one `min` or `max` call, and the tier-1 suite runs on it with
+`-x`. A mutant the suite fails on is killed; one it passes survives. A
+survivor must be listed in `tools/equivalent_mutants.txt`, which names
+the mutants known to behave exactly as the original code does, each
+with its reason. Every unlisted survivor is a gap in the tests, and the
+run exits 1.
 
 Mutants are keyed by module, enclosing function and the text of the
 mutated expression (the original comparison or call and its mutated
@@ -18,9 +19,9 @@ module. A key that occurs more than once in one function gets a `#2`,
 Run it from the repository root as `python tools/mutants.py`. Two
 workers each run the suite in their own copy of `src/`, `tests/` and
 `README.md` in a temporary directory, without bytecode caches and with
-an empty Hypothesis database per mutant. A run of the 127 mutants took
-about four and a half minutes (270 s) on two cores of a Xeon VM with
-Python 3.11.
+an empty Hypothesis database per mutant, and each run may map at most
+1 GiB of address space. A run of the 138 mutants took about five
+minutes (285 s) on two cores of a Xeon VM with Python 3.11.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import ast
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -38,7 +40,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("discharging", "audit", "lightedge", "oneplanar", "graphio")
+MODULES = ("discharging", "audit", "lightedge", "oneplanar", "graphio", "embedding")
 EQUIVALENT = ROOT / "tools" / "equivalent_mutants.txt"
 SWAP = {
     ast.Lt: ast.LtE,
@@ -75,6 +77,10 @@ TEXT = {
 # called builtins swapped by name
 NAME_SWAP = {"min": "max", "max": "min"}
 SUITE_TIMEOUT_S = 600
+# address-space cap of every suite run: a mutant can make a face walk
+# run forever, growing its walk list, and under the cap that run fails
+# with MemoryError instead of filling the host's memory
+SUITE_MEMORY_BYTES = 1 << 30
 JOBS = 2
 
 
@@ -180,6 +186,9 @@ def _run_suite(tree: Path) -> str:
 
 
 def main() -> int:
+    # set here, so that every suite run inherits it
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (SUITE_MEMORY_BYTES, hard))
     mutants = [m for module in MODULES for m in _mutants_of(module)]
     equivalent = _equivalent_keys()
 
