@@ -49,8 +49,8 @@ transfers, reading each by unpacking, and sums each group once with
 income, or no routed outflow, reads `ZERO` there without a sum.
 Payments are summed only for the (face, vertex) pairs a payment gate
 owes. The triangle gates are looked up by the degree of the paid
-corner. The pi+ income is read at `transitive_corners`, the same corner
-records the engine's R6 routing reads.
+corner. The pi+ income is read at `transitive_corners`, the one scan of
+the corners the engine's R6 routes through.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def audit(
     # R5 amount (d-4)/d is built once per degree
     r5 = {d: Fraction(d - 4, d) for d in set(deg.values()) if d >= heavy}
     income: defaultdict[tuple[int, int], list[Fraction]] = defaultdict(list)
-    for i, prev, v, nxt in transitive_corners(g):
+    for i, prev, v, nxt, *_ in transitive_corners(g):
         income[i, v] += (r5[deg[prev]], r5[deg[nxt]])
     crossing_flow = tuple(
         CrossingFlow(f, v, exact_sum(income.get((f, v), ())), exact_sum(routed.get((f, v), ())))

@@ -64,7 +64,11 @@ A face only ever sends through a false vertex whose two neighbors on
 that face both have degree at least 9 = `HEAVY[6]` (a transitive false
 vertex); this is forced by the m >= 9 requirement above. The corners
 are the records each crossing neighborhood derives once; the special
-faces, the R6 routing and the audit's transitive corners all read them.
+faces read them, and `transitive_corners` is the one scan of the
+corners R6 can route through, read by the engine's R6 and by the
+audit's pi+. At each, `r6_route`, a pure function of the degrees of A,
+B, a, b and f and the only reader of `R6_BANDS`, picks the sub-rule,
+its targets and its amount.
 
 Residual splits in R7/R8 may move a negative balance; those transfers
 keep the face as their source and carry the signed per-recipient share.
@@ -101,12 +105,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .lightedge import BOUNDS, HEAVY
-from .oneplanar import (
-    AssociatedPlaneGraph,
-    CrossingNeighborhood,
-    crossing_neighborhoods,
-    is_false_triangle,
-)
+from .oneplanar import AssociatedPlaneGraph, crossing_neighborhoods, is_false_triangle
 
 # An element of the charge ledger: ("v", vertex id) or ("f", face index).
 Element = tuple[str, int]
@@ -126,11 +125,11 @@ R2_R3_AMOUNTS = {
 R4_AMOUNT = Fraction(1, 2)
 R8_PREPAY = Fraction(2, 3)
 
-# R6 bands, highest first: (least m, rule, amounts). The leasts are
-# HEAVY[3..6] = 24, 12, 10, 9. R6.1 amounts are (each of four targets,
-# each of two targets); R6.2-R6.4 amounts are (3-face sender to both
-# faces, 3-face sender to one face, 4+-face sender to each face). Below
-# the last band nothing is routed.
+# R6 bands, highest first, read by `r6_route` only: (least m, rule,
+# amounts). The leasts are HEAVY[3..6] = 24, 12, 10, 9. R6.1 amounts are
+# (each of four targets, each of two targets); R6.2-R6.4 amounts are
+# (3-face sender to both faces, 3-face sender to one face, 4+-face
+# sender to each face). Below the last band nothing is routed.
 R6_BANDS = (
     (HEAVY[3], "R6.1", (Fraction(1, 6), Fraction(1, 3))),
     (HEAVY[4], "R6.2", (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3))),
@@ -262,22 +261,55 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     return [SpecialFace(*key) for key in keys]
 
 
-def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
-    """(face, previous tail, false vertex, next tail) for every corner of
-    a crossing whose two bounding endpoints have degree at least
-    9 = `HEAVY[6]`, the least m of R6, read from the stored corner
-    records, in crossing order: false vertices in vertex order, each
-    one's corners in rotation order. The face walk enters the false
-    vertex from the first bounding endpoint and leaves it toward the
-    second."""
+def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, ...]]:
+    """(face, A, false vertex, B, a, b, face past a, face past b) for
+    every corner of a crossing whose two bounding endpoints A and B have
+    degree at least 9 = `HEAVY[6]`, the least m of R6, read from the
+    stored corner records, in crossing order: false vertices in vertex
+    order, each one's corners in rotation order. The face walk enters
+    the false vertex from A and leaves it toward B; a and b are the far
+    ends opposite A and B, and the faces past them are the adjacent
+    corners' faces, between B and a and between b and A."""
     deg = g.embedding.degrees
     heavy = HEAVY[6]
-    return [
-        (f, near_a, hood.false_vertex, near_b)
-        for hood in crossing_neighborhoods(g)
-        for near_a, near_b, _, _, f in hood.corners
-        if deg[near_a] >= heavy and deg[near_b] >= heavy
-    ]
+    out = []
+    for hood in crossing_neighborhoods(g):
+        corners = hood.corners
+        for i, (near_a, near_b, far_a, far_b, f) in enumerate(corners):
+            if deg[near_a] >= heavy and deg[near_b] >= heavy:
+                past_a, past_b = corners[(i + 1) % 4][4], corners[(i - 1) % 4][4]
+                out.append((f, near_a, hood.false_vertex, near_b, far_a, far_b, past_a, past_b))
+    return out
+
+
+def r6_route(
+    deg_a: int, deg_b: int, far_a: int, far_b: int, sender_degree: int
+) -> tuple[str, tuple[int, ...], Fraction] | None:
+    """R6 at one corner, from the degrees of its bounding endpoints A and
+    B, of their far ends a and b and of the sending face: (rule, target
+    slots, amount to each target), or None when the corner sends
+    nothing. The slots index (face past a, face past b, a, b)."""
+    m = min(deg_a, deg_b)
+    for least, rule, amounts in R6_BANDS:
+        if m >= least:
+            break
+    else:
+        return None
+    if rule == "R6.1":
+        if far_a == 3 and far_b == 3:
+            return rule, (0, 1, 2, 3), amounts[0]
+        if far_a == 3 and far_b >= 4:
+            return rule, (0, 2), amounts[1]
+        if far_b == 3 and far_a >= 4:
+            return rule, (1, 3), amounts[1]
+        return None
+    if far_a > 6 and far_b > 6:
+        return None
+    if sender_degree != 3:
+        return rule, (0, 1), amounts[2]
+    if far_a <= 6 and far_b <= 6:
+        return rule, (0, 1), amounts[0]
+    return rule, ((0,) if far_a <= 6 else (1,)), amounts[1]
 
 
 def _phase_a(
@@ -322,53 +354,13 @@ def _phase_a(
                 amt = r5[d] = Fraction(d - 4, d)
             transfers += [_new(Transfer, ("R5", src, at_face[f], amt, None)) for f in corners]
 
-    for hood in crossing_neighborhoods(g):
-        transfers += _route_through_crossing(g, hood, at_vertex, at_face)
-    return transfers
-
-
-def _route_through_crossing(
-    g: AssociatedPlaneGraph,
-    hood: CrossingNeighborhood,
-    at_vertex: dict[int, Element],
-    at_face: list[Element],
-) -> list[Transfer]:
-    """R6 transfers for every sending corner of one false vertex."""
-    deg = g.embedding.degrees
-    corners = hood.corners
-    transfers: list[Transfer] = []
-    for i, (near_a, near_b, far_a, far_b, f1) in enumerate(corners):
-        m = min(deg[near_a], deg[near_b])
-        for least, rule, amounts in R6_BANDS:
-            if m >= least:
-                break
-        else:
-            continue
-        src = at_face[f1]
-        beyond_a = at_face[corners[(i + 1) % 4][4]]  # corner face past far_a
-        beyond_b = at_face[corners[(i - 1) % 4][4]]  # corner face past far_b
-        da, db = deg[far_a], deg[far_b]
-
-        if rule == "R6.1":
-            if da == 3 and db == 3:
-                targets = (beyond_a, beyond_b, at_vertex[far_a], at_vertex[far_b])
-                amt = amounts[0]
-            elif da == 3:
-                targets, amt = (beyond_a, at_vertex[far_a]), amounts[1]
-            elif db == 3:
-                targets, amt = (beyond_b, at_vertex[far_b]), amounts[1]
-            else:
-                continue
-        elif da > 6 and db > 6:
-            continue
-        elif g.embedding.face_degrees[f1] != 3:
-            targets, amt = (beyond_a, beyond_b), amounts[2]
-        elif da <= 6 and db <= 6:
-            targets, amt = (beyond_a, beyond_b), amounts[0]
-        else:
-            targets, amt = (beyond_a if da <= 6 else beyond_b,), amounts[1]
-        via = hood.false_vertex
-        transfers += [_new(Transfer, (rule, src, t, amt, via)) for t in targets]
+    for f, near_a, v, near_b, far_a, far_b, past_a, past_b in transitive_corners(g):
+        route = r6_route(deg[near_a], deg[near_b], deg[far_a], deg[far_b], fdeg[f])
+        if route is not None:
+            rule, slots, amt = route
+            ends = (at_face[past_a], at_face[past_b], at_vertex[far_a], at_vertex[far_b])
+            src = at_face[f]
+            transfers += [_new(Transfer, (rule, src, ends[k], amt, v)) for k in slots]
     return transfers
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ import oneplane
 from oneplane import cli, graphio
 from oneplane.audit import audit
 from oneplane.cli import main
+from oneplane.discharging import transitive_corners
 from oneplane.generators import (
     GenerationFailed,
     GeneratorParams,
@@ -27,7 +29,8 @@ from oneplane.generators import (
 )
 from oneplane.lightedge import BOUNDS, check_light_edge_guarantee
 from oneplane.oneplanar import build_drawing, validate
-from test_audit import tampered_run
+from test_acceptance import R6_SAMPLES
+from test_audit import _gadget_drawings, tampered_run
 
 
 @pytest.fixture()
@@ -225,6 +228,40 @@ def test_drawing_reports_are_pinned(k5_file, broken_file, tmp_path, capsys, monk
                     transcript.append(f"--- {ledger.name}\n{ledger.read_text(encoding='utf-8')}")
                     ledger.unlink()
     assert "".join(transcript) == PINNED_REPORTS.read_text(encoding="utf-8")
+
+
+PINNED_R6 = Path(__file__).with_name("pinned_r6.json")
+
+
+def r6_pins(directory: Path, capsys) -> list[dict]:
+    """Per drawing of `R6_SAMPLES` and the gadget sweep, where R6 fires:
+    the SHA-256 of the `discharge --ledger` file and of the JSON audit
+    report, both written by `main` in `directory`, the ledger's R6
+    lines, and the transitive corners cut to their first four fields."""
+    pins = []
+    for i, g in enumerate(R6_SAMPLES + _gadget_drawings()):
+        graphio.save(g, directory / "drawing.json")
+        assert main(["discharge", "drawing.json", "--ledger", "out.ledger"]) == 0
+        capsys.readouterr()
+        ledger = (directory / "out.ledger").read_bytes()
+        assert main(["audit", "drawing.json", "--format", "json"]) == 0
+        report = capsys.readouterr().out.encode()
+        pins.append({
+            "drawing": i,
+            "ledger_sha256": hashlib.sha256(ledger).hexdigest(),
+            "audit_sha256": hashlib.sha256(report).hexdigest(),
+            "r6": [line for line in ledger.decode().splitlines() if line.startswith("R6")],
+            "corners": [list(c[:4]) for c in transitive_corners(g)],
+        })
+    return pins
+
+
+def test_r6_ledgers_and_audits_are_pinned(tmp_path, capsys, monkeypatch):
+    # no catalog drawing or benchmark workload fires R6, so the drawings
+    # built to fire it pin its ledger bytes, its audit report and its
+    # corners
+    monkeypatch.chdir(tmp_path)
+    assert r6_pins(tmp_path, capsys) == json.loads(PINNED_R6.read_text(encoding="utf-8"))
 
 
 def test_audit_command_passes_on_valid_input(k5_file, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -24,6 +25,7 @@ from oneplane.discharging import (
     find_special_faces,
     initial_charges,
     ledger_lines,
+    r6_route,
     transitive_corners,
     vertex,
 )
@@ -163,7 +165,7 @@ def test_transitive_false_vertices():
     triangle = next(
         i for i in range(g.embedding.face_count()) if g.embedding.face_degrees[i] == 3
     )
-    assert [v for f, _, v, _ in transitive_corners(g) if f == triangle] == [2]
+    assert [v for f, _, v, *_ in transitive_corners(g) if f == triangle] == [2]
 
     g = crossing_gadget(8, 24)
     assert transitive_corners(g) == []
@@ -171,24 +173,34 @@ def test_transitive_false_vertices():
     assert transitive_corners(build_drawing(K4)) == []
 
 
-def reference_transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
+def reference_transitive_corners(
+    g: AssociatedPlaneGraph,
+) -> list[tuple[int, int, int, int, int, int, int, int]]:
     """The face-walk scan `transitive_corners` replaced, as the reference
     for its filter over the corner records: (face, previous tail, false
     vertex, next tail) for every position on every face where a false
-    vertex sits between two face-neighbors of degree at least 9, sorted."""
-    deg = g.embedding.degrees
+    vertex sits between two face-neighbors of degree at least 9, then
+    the previous and the next tail's far ends, read from the false
+    vertex's rotation, and the faces past them, found on the walks as
+    the faces entering the false vertex from the next tail and leaving
+    it toward the previous one. Sorted."""
+    rot, deg = g.embedding.rotation, g.embedding.degrees
     false = g.false_vertices
-    out = []
+    at = {}  # (previous tail, false vertex, next tail) -> face
     for i, walk in enumerate(g.embedding.faces):
         for j, (v, nxt) in enumerate(zip(walk, walk[1:] + walk[:1])):
             if v in false:
-                prev = walk[j - 1]
-                if deg[prev] >= 9 and deg[nxt] >= 9:
-                    out.append((i, prev, v, nxt))
+                at[walk[j - 1], v, nxt] = i
+    out = []
+    for (prev, v, nxt), i in at.items():
+        if deg[prev] >= 9 and deg[nxt] >= 9:
+            r = rot[v]
+            a, b = r[(r.index(prev) + 2) % 4], r[(r.index(nxt) + 2) % 4]
+            out.append((i, prev, v, nxt, a, b, at[nxt, v, a], at[b, v, prev]))
     return sorted(out)
 
 
-def assert_corners_as_reference(g: AssociatedPlaneGraph) -> list[tuple[int, int, int, int]]:
+def assert_corners_as_reference(g: AssociatedPlaneGraph) -> list[tuple[int, ...]]:
     """Every neighborhood's corner records are read off its endpoints,
     the false vertex's rotation turned to its lowest id, and its faces,
     the false vertex's `corner_faces` turned alike, and the transitive
@@ -401,7 +413,7 @@ def test_r6_routes_only_through_transitive_vertices():
         catalog("k6-three-crossings"),
     ):
         _, transfers = apply_discharging(g)
-        trans = {(f, v) for f, _, v, _ in transitive_corners(g)}
+        trans = {(f, v) for f, _, v, *_ in transitive_corners(g)}
         for t in transfers:
             if t.rule.startswith("R6"):
                 assert (t.source[1], t.via) in trans
@@ -424,12 +436,56 @@ def test_engine_matches_naive_oracle_spot_checks():
 
 
 def test_engine_matches_naive_oracle_on_r6_samples_and_gadgets():
-    """The R6 samples and the gadget sweep are where R6 fires, so their
-    ledgers pin the band routing of `_route_through_crossing`."""
+    """The R6 samples and the gadget sweep are where R6 fires, with
+    unequal bounding degrees and with distinct corner faces past the two
+    far ends, so their ledgers pin what `r6_route` picks and where the
+    engine sends it."""
     for i, g in enumerate(R6_SAMPLES + _gadget_drawings()):
         engine = sorted(ledger_lines(apply_discharging(g)[1]))
         oracle = sorted(naive_ledger(g.embedding.rotation, set(g.false_vertices)))
         assert engine == oracle, i
+
+
+def test_engine_matches_naive_oracle_on_the_r6_class_grid():
+    # every band at its least degree and at one degree inside it, every
+    # far-end degree from a leaf to past R6.2's bound of 6, and both
+    # sender shapes
+    rules = set()
+    for m, far_a, far_b, sender in product(
+        (9, 10, 11, 12, 23, 24, 40), range(1, 9), range(1, 9), ("triangle", "quad")
+    ):
+        g = crossing_gadget(m, m, far_a, far_b, sender)
+        engine = sorted(ledger_lines(apply_discharging(g)[1]))
+        oracle = sorted(naive_ledger(g.embedding.rotation, set(g.false_vertices)))
+        assert engine == oracle, (m, far_a, far_b, sender)
+        rules |= {line.split(";")[0] for line in engine}
+    assert {"R6.1", "R6.2", "R6.3", "R6.4"} <= rules
+
+
+# R6_BANDS's leasts, HEAVY[3..6], highest first
+BAND_LEASTS = (24, 12, 10, 9)
+# a target slot's mirror: the faces past a and b, then the vertices a and b
+MIRRORED_SLOT = (1, 0, 3, 2)
+
+
+def test_r6_route_is_mirror_symmetric_and_reads_only_the_band_of_m():
+    by_band = {}
+    for deg_a, deg_b, far_a, far_b, sender in product(
+        range(1, 41), range(1, 41), range(1, 11), range(1, 11), range(3, 6)
+    ):
+        route = r6_route(deg_a, deg_b, far_a, far_b, sender)
+        mirrored = r6_route(deg_b, deg_a, far_b, far_a, sender)
+        if route is None:
+            assert mirrored is None
+        else:
+            rule, slots, amount = route
+            assert mirrored[0] == rule and mirrored[2] == amount
+            assert sorted(mirrored[1]) == sorted(MIRRORED_SLOT[k] for k in slots)
+        m = min(deg_a, deg_b)
+        band = next((least for least in BAND_LEASTS if m >= least), None)
+        if band is None:
+            assert route is None
+        assert by_band.setdefault((band, far_a, far_b, sender), route) == route
 
 
 DEGENERATE = {
