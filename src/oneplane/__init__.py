@@ -37,11 +37,10 @@ from .lightedge import (
 )
 from .oneplanar import (
     AssociatedPlaneGraph,
-    CrossingNeighborhood,
     OriginalGraphView,
     RecoveredMultiEdge,
     build_drawing,
-    crossing_neighborhoods,
+    crossing_corners,
     drawing_diagnostics,
     is_false_triangle,
     recover_original,

@@ -63,12 +63,12 @@ k-vertex have degree at least `HEAVY[k]`.
 A face only ever sends through a false vertex whose two neighbors on
 that face both have degree at least 9 = `HEAVY[6]` (a transitive false
 vertex); this is forced by the m >= 9 requirement above. The corners
-are the records each crossing neighborhood derives once; the special
-faces read them, and `transitive_corners` is the one scan of the
-corners R6 can route through, read by the engine's R6 and by the
-audit's pi+. At each, `r6_route`, a pure function of the degrees of A,
-B, a, b and f and the only reader of `R6_BANDS`, picks the sub-rule,
-its targets and its amount.
+are the records of the drawing's one corner table, `crossing_corners`,
+derived once; the special faces read it, and `transitive_corners`, the
+one filter of it to the corners R6 can route through, is read by the
+engine's R6 and by the audit's pi+. At each, `r6_route`, a pure
+function of the degrees of A, B, a, b and f and the only reader of
+`R6_BANDS`, picks the sub-rule, its targets and its amount.
 
 Residual splits in R7/R8 may move a negative balance; those transfers
 keep the face as their source and carry the signed per-recipient share.
@@ -105,7 +105,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .lightedge import BOUNDS, HEAVY
-from .oneplanar import AssociatedPlaneGraph, crossing_neighborhoods, is_false_triangle
+from .oneplanar import AssociatedPlaneGraph, Corner, crossing_corners, is_false_triangle
 
 # An element of the charge ledger: ("v", vertex id) or ("f", face index).
 Element = tuple[str, int]
@@ -226,60 +226,48 @@ def find_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
 
     The original graph is not recovered: an original edge between two
     true vertices is a dart of the embedding or one of a crossing's two
-    segments, its neighborhood's endpoints 0-2 and 1-3. A drawing that
-    `validate` faults raises what `recover_original` raises; one that it
-    does not has no two false vertices adjacent, so every corner vertex
-    and far end is true."""
+    segments, a corner record's endpoint A and its opposite a. A drawing
+    that `validate` faults raises what `recover_original` raises; one
+    that it does not has no two false vertices adjacent, so every corner
+    vertex and far end is true."""
     emb = g.embedding
     deg, fdeg, darts = emb.degrees, emb.face_degrees, emb.face_of
-    hoods = crossing_neighborhoods(g)
-    # each corner's first endpoint and its opposite: the segments 0-2
-    # and 1-3, both ways round
-    crossed = {(near, far) for hood in hoods for near, _, far, _, _ in hood.corners}
+    corners = crossing_corners(g)
+    # over a crossing's four corners, A and a run through both segments
+    # both ways round
+    crossed = {(near, far) for _, near, _, _, far, _, _, _ in corners}
     keys = []  # (face, pivot, k, partner), sorted before the records are built
-    for hood in hoods:
-        for near_a, near_b, far_a, far_b, f in hood.corners:
-            if fdeg[f] != 3:
+    for f, near_a, _, near_b, far_a, far_b, _, _ in corners:
+        if fdeg[f] != 3:
+            continue
+        # both corner vertices are candidate pivots; the pivot's own
+        # crossing edge ends at its opposite neighbor
+        for pivot, partner, pivot_far, partner_far in (
+            (near_a, near_b, far_a, far_b),
+            (near_b, near_a, far_b, far_a),
+        ):
+            k = deg[pivot]
+            if k not in SPECIAL_PARTNER_BOUND:
                 continue
-            # both corner vertices are candidate pivots; the pivot's own
-            # crossing edge ends at its opposite neighbor
-            for pivot, partner, pivot_far, partner_far in (
-                (near_a, near_b, far_a, far_b),
-                (near_b, near_a, far_b, far_a),
-            ):
-                k = deg[pivot]
-                if k not in SPECIAL_PARTNER_BOUND:
-                    continue
-                if deg[partner_far] > SPECIAL_PARTNER_BOUND[k]:
-                    continue
-                link = (partner, pivot_far)
-                if link in darts or link in crossed:
-                    keys.append((f, pivot, k, partner))
+            if deg[partner_far] > SPECIAL_PARTNER_BOUND[k]:
+                continue
+            link = (partner, pivot_far)
+            if link in darts or link in crossed:
+                keys.append((f, pivot, k, partner))
     # a (face, pivot) pair occurs once, since a false triangle has one
     # false vertex, so the sort never compares k or partner
     keys.sort()
     return [SpecialFace(*key) for key in keys]
 
 
-def transitive_corners(g: AssociatedPlaneGraph) -> list[tuple[int, ...]]:
-    """(face, A, false vertex, B, a, b, face past a, face past b) for
-    every corner of a crossing whose two bounding endpoints A and B have
-    degree at least 9 = `HEAVY[6]`, the least m of R6, read from the
-    stored corner records, in crossing order: false vertices in vertex
-    order, each one's corners in rotation order. The face walk enters
-    the false vertex from A and leaves it toward B; a and b are the far
-    ends opposite A and B, and the faces past them are the adjacent
-    corners' faces, between B and a and between b and A."""
+def transitive_corners(g: AssociatedPlaneGraph) -> list[Corner]:
+    """The corner records (face, A, false vertex, B, a, b, face past a,
+    face past b), in crossing order, whose two bounding endpoints A and
+    B have degree at least 9 = `HEAVY[6]`, the least m of R6: the
+    corners R6 can route through."""
     deg = g.embedding.degrees
     heavy = HEAVY[6]
-    out = []
-    for hood in crossing_neighborhoods(g):
-        corners = hood.corners
-        for i, (near_a, near_b, far_a, far_b, f) in enumerate(corners):
-            if deg[near_a] >= heavy and deg[near_b] >= heavy:
-                past_a, past_b = corners[(i + 1) % 4][4], corners[(i - 1) % 4][4]
-                out.append((f, near_a, hood.false_vertex, near_b, far_a, far_b, past_a, past_b))
-    return out
+    return [c for c in crossing_corners(g) if deg[c[1]] >= heavy and deg[c[3]] >= heavy]
 
 
 def r6_route(

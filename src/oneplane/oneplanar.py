@@ -4,8 +4,8 @@ The input model is the planarized form of a drawing in which every edge
 is crossed at most once: each crossing point is replaced by a marked
 degree-4 vertex (a "false" vertex), and the result is an ordinary plane
 graph. This module validates such drawings, recovers the original
-abstract graph by straightening the crossing pairs back out, exposes the
-local neighborhood of every crossing, and flags structural patterns that
+abstract graph by straightening the crossing pairs back out, lists the
+four corners of every crossing, and flags structural patterns that
 cannot occur in a crossing-minimal drawing.
 
 Straightening works on the rotation at a false vertex: its four
@@ -19,7 +19,7 @@ vertices once and finds every crossing fault: a false vertex whose
 degree is not 4, two adjacent false vertices (an edge crossed twice)
 and a recovered multi-edge. `validate` reports them all, and every
 derivation that reads the crossings (`recover_original`,
-`crossing_neighborhoods` and, through them, the light-edge search, the
+`crossing_corners` and, through them, the light-edge search, the
 k-special faces, the transitive corners and the discharging) refuses a
 faulty drawing by raising the first of them, with `validate`'s text.
 The check does work in proportion to the crossings, and is derived once
@@ -29,18 +29,18 @@ The recovered edge list, the direct edges between true vertices plus
 the segments, is built on the first `recover_original`; the discharging
 engine does not build it, since an original edge between two true
 vertices is a dart of the embedding or one of a crossing's two
-segments, read off its neighborhood. Every dart at a true vertex of a
+segments, read off its corner records. Every dart at a true vertex of a
 valid drawing straightens into exactly one recovered edge, so the
 recovered degrees are the embedding's own.
 
-Each crossing's four corner records are derived once, with its
-neighborhood, from the false vertex's rotation and the faces of its
-darts; the discharging engine and the audit read them and derive no
-corner again. They are built on first use, apart from the
+The corner table holds one `Corner` record per corner of every
+crossing, derived once per drawing from the false vertex's rotation and
+the faces of its darts; the discharging engine and the audit read it
+and derive no corner again. It is built on first use, apart from the
 straightening, so `validate`, `recover_original` and the light-edge
 search build none. The faces are read from `face_of` directly, not
 through `PlaneEmbedding.corner_faces`, whose per-vertex tuple made a
-build of the neighborhoods about 1.6 times slower on a 749-crossing
+build of the corner records about 1.6 times slower on a 749-crossing
 drawing; they equal the false vertex's `corner_faces`, rotated alike.
 Vertex ids, neighbors and false-vertex marks must be ints.
 """
@@ -52,6 +52,15 @@ from functools import cached_property
 
 from .embedding import PlaneEmbedding, build_embedding
 
+# One corner of a crossing: (face, A, false vertex, B, a, b, face past a,
+# face past b). A and B are the false vertex's neighbors bounding the
+# corner, B following A in its rotation; a and b are their opposite
+# neighbors, the far ends of the two original edges; the face is the
+# face of the dart from the false vertex to B, whose walk enters the
+# false vertex from A and leaves it toward B; the faces past a and b are
+# the adjacent corners' faces, between B and a and between b and A.
+Corner = tuple[int, int, int, int, int, int, int, int]
+
 
 class RecoveredMultiEdge(ValueError):
     """Straightening produced two parallel copies of the same edge."""
@@ -62,9 +71,9 @@ class AssociatedPlaneGraph:
     """A plane embedding plus the set of vertices marking crossings. The
     sorted false vertices, the straightening (read through `validate`),
     the recovered original graph (through `recover_original`) and the
-    crossing neighborhoods (through `crossing_neighborhoods`) are
-    derived once per drawing, on first use. The last two refuse a
-    drawing that `validate` faults, on every access."""
+    corner table (through `crossing_corners`) are derived once per
+    drawing, on first use. The last two refuse a drawing that
+    `validate` faults, on every access."""
 
     embedding: PlaneEmbedding
     false_vertices: frozenset[int]
@@ -90,25 +99,25 @@ class AssociatedPlaneGraph:
             raise error(str(problems[0]))
 
     @cached_property
-    def _neighborhoods(self) -> list[CrossingNeighborhood]:
+    def _corners(self) -> tuple[Corner, ...]:
         self._refuse_invalid()
         emb = self.embedding
         face_of = emb.face_of
-        out: list[CrossingNeighborhood] = []
-        for f in self.sorted_false_vertices:
-            r = emb.rotation[f]
+        out: list[Corner] = []
+        for v in self.sorted_false_vertices:
+            r = emb.rotation[v]
             k = r.index(min(r))
             a, b, c, d = r[k:] + r[:k]
             # the corner between two neighbors is the face of the dart
-            # from f to the second
-            corners = (
-                (a, b, c, d, face_of[f, b]),
-                (b, c, d, a, face_of[f, c]),
-                (c, d, a, b, face_of[f, d]),
-                (d, a, b, c, face_of[f, a]),
+            # from v to the second
+            f0, f1, f2, f3 = face_of[v, b], face_of[v, c], face_of[v, d], face_of[v, a]
+            out += (
+                (f0, a, v, b, c, d, f1, f3),
+                (f1, b, v, c, d, a, f2, f0),
+                (f2, c, v, d, a, b, f3, f1),
+                (f3, d, v, a, b, c, f0, f2),
             )
-            out.append(CrossingNeighborhood(f, corners))
-        return out
+        return tuple(out)
 
     @cached_property
     def _original(self) -> OriginalGraphView:
@@ -241,7 +250,7 @@ class OriginalGraphView:
     lookup tries the pair both ways round, so it takes constant time and
     agrees with `edges` however each pair is ordered. No code in the
     package calls `has_edge`: the discharging engine reads the original
-    adjacency from the embedding's darts and the crossing neighborhoods.
+    adjacency from the embedding's darts and the crossing corners.
     It is kept for callers of the view and as the tests' reference.
     """
 
@@ -269,7 +278,7 @@ def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
     its edges), two adjacent false vertices (an edge crossed twice) or a
     recovered multi-edge. It raises the first fault `validate` reports,
     with its text: RecoveredMultiEdge for a multi-edge, a plain
-    ValueError otherwise. `crossing_neighborhoods` refuses the same
+    ValueError otherwise. `crossing_corners` refuses the same
     drawings with the same error. The straightening is derived once per
     drawing and shared with `validate`; every call on a valid drawing
     returns the same view, whose `degrees` are the embedding's degrees
@@ -278,32 +287,13 @@ def recover_original(g: AssociatedPlaneGraph) -> OriginalGraphView:
     return g._original
 
 
-@dataclass(frozen=True)
-class CrossingNeighborhood:
-    """Local labels around one crossing, derived once per crossing.
-
-    The four endpoints are the false vertex's neighbors in rotation
-    order, starting at the lowest id, so endpoints 0/2 and 1/3 are the
-    two original edges. `corners[i]` is (A, B, a, b, face), where A and
-    B are the endpoints i and i+1 bounding the corner, a and b are their
-    opposite endpoints, the far ends of the two original edges, and
-    face is the face at the corner, the face of the dart from the false
-    vertex to B, read from `face_of` directly for speed; it equals the
-    false vertex's `corner_faces`, rotated alike. The starting label is
-    only a representative: consumers must not depend on which rotation
-    or reflection of the labels was chosen.
-    """
-
-    false_vertex: int
-    corners: tuple[tuple[int, int, int, int, int], ...]
-
-
-def crossing_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:
-    """One neighborhood per false vertex, in vertex order; every call on
-    a drawing returns the same list, which callers must not modify.
-    Raises what `recover_original` raises, on every call, when
-    `validate` faults the drawing."""
-    return g._neighborhoods
+def crossing_corners(g: AssociatedPlaneGraph) -> tuple[Corner, ...]:
+    """Every corner record of every crossing, four per false vertex, in
+    crossing order: false vertices in vertex order, each one's corners
+    in rotation order, starting at its lowest neighbor. Every call on a
+    drawing returns the same tuple. Raises what `recover_original`
+    raises, on every call, when `validate` faults the drawing."""
+    return g._corners
 
 
 # Violation kinds produced by drawing_diagnostics(). Each names a local

@@ -1,27 +1,33 @@
-"""Facts about one crossing, read off its corner records.
+"""Facts about the crossings, read off the flat corner table.
 
-`corners[i]` of a `CrossingNeighborhood` is (A, B, a, b, face): the
-endpoints i and i+1 bounding corner i, their opposite endpoints and the
-face at that corner. These readers give the tests the endpoints, the
-faces and the two crossing edges without a second copy in the package.
+`crossing_corners(g)` holds four `Corner` records per false vertex,
+(face, A, false vertex, B, a, b, face past a, face past b), in crossing
+order. These readers give the tests each crossing's endpoints, faces and
+two crossing edges without a second copy in the package.
 """
 
 from __future__ import annotations
 
-from oneplane.oneplanar import CrossingNeighborhood
+from oneplane.oneplanar import Corner
 
 
-def endpoints(hood: CrossingNeighborhood) -> tuple[int, ...]:
+def crossings(corners: tuple[Corner, ...]) -> dict[int, tuple[Corner, ...]]:
+    """Each false vertex's four records, in rotation order, keyed by the
+    false vertex, in crossing order."""
+    return {corners[i][2]: corners[i : i + 4] for i in range(0, len(corners), 4)}
+
+
+def endpoints(records: tuple[Corner, ...]) -> tuple[int, ...]:
     """The four neighbors in rotation order, starting at the lowest id."""
-    return tuple(c[0] for c in hood.corners)
+    return tuple(c[1] for c in records)
 
 
-def faces(hood: CrossingNeighborhood) -> tuple[int, ...]:
-    """`faces(hood)[i]` is the face between endpoints i and i+1."""
-    return tuple(c[4] for c in hood.corners)
+def faces(records: tuple[Corner, ...]) -> tuple[int, ...]:
+    """`faces(records)[i]` is the face between endpoints i and i+1."""
+    return tuple(c[0] for c in records)
 
 
-def crossing_pairs(hood: CrossingNeighborhood) -> frozenset[frozenset[int]]:
+def crossing_pairs(records: tuple[Corner, ...]) -> frozenset[frozenset[int]]:
     """The two original edges that cross at the false vertex."""
-    e = endpoints(hood)
+    e = endpoints(records)
     return frozenset({frozenset({e[0], e[2]}), frozenset({e[1], e[3]})})

@@ -11,28 +11,24 @@ theirs.
 from __future__ import annotations
 
 from oneplane.discharging import SPECIAL_PARTNER_BOUND, SpecialFace
-from oneplane.oneplanar import (
-    AssociatedPlaneGraph,
-    CrossingNeighborhood,
-    crossing_neighborhoods,
-    recover_original,
-)
+from oneplane.oneplanar import AssociatedPlaneGraph, Corner, recover_original
 
 
-def sliced_neighborhoods(g: AssociatedPlaneGraph) -> list[CrossingNeighborhood]:
-    """The crossing neighborhoods with each corner record's face sliced
-    from the false vertex's `corner_faces`, rotated to its lowest
-    endpoint like the rotation."""
+def sliced_corners(g: AssociatedPlaneGraph) -> tuple[Corner, ...]:
+    """The corner table with each record's faces sliced from the false
+    vertex's `corner_faces`, rotated to its lowest endpoint like the
+    rotation: corner i of a crossing with endpoints e and faces c is
+    (c[i], e[i], false vertex, e[i+1], e[i+2], e[i+3], c[i+1], c[i-1]),
+    indices mod 4."""
     g._refuse_invalid()
     emb = g.embedding
-    out: list[CrossingNeighborhood] = []
-    for f in g.sorted_false_vertices:
-        r, c = emb.rotation[f], emb.corner_faces(f)
+    out: list[Corner] = []
+    for v in g.sorted_false_vertices:
+        r, c = emb.rotation[v], emb.corner_faces(v)
         k = r.index(min(r))
-        e = r[k:] + r[:k]
-        corners = tuple(zip(e, e[1:] + e[:1], e[2:] + e[:2], e[3:] + e[:3], c[k:] + c[:k]))
-        out.append(CrossingNeighborhood(f, corners))  # type: ignore[arg-type]
-    return out
+        e, c = r[k:] + r[:k], c[k:] + c[:k]
+        out += [(c[i], e[i], v, e[i - 3], e[i - 2], e[i - 1], c[i - 3], c[i - 1]) for i in range(4)]
+    return tuple(out)
 
 
 def recovered_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
@@ -41,25 +37,24 @@ def recovered_special_faces(g: AssociatedPlaneGraph) -> list[SpecialFace]:
     deg = g.embedding.degrees
     fdeg = g.embedding.face_degrees
     false = g.false_vertices
-    hoods = crossing_neighborhoods(g)
-    if not hoods:
+    corners = sliced_corners(g)
+    if not corners:
         return []
     view = recover_original(g)
     records = []
-    for hood in hoods:
-        for near_a, near_b, far_a, far_b, f in hood.corners:
-            if fdeg[f] != 3:
+    for f, near_a, _, near_b, far_a, far_b, _, _ in corners:
+        if fdeg[f] != 3:
+            continue
+        for pivot, partner, pivot_far, partner_far in (
+            (near_a, near_b, far_a, far_b),
+            (near_b, near_a, far_b, far_a),
+        ):
+            k = deg[pivot]
+            if k not in SPECIAL_PARTNER_BOUND or pivot in false:
                 continue
-            for pivot, partner, pivot_far, partner_far in (
-                (near_a, near_b, far_a, far_b),
-                (near_b, near_a, far_b, far_a),
-            ):
-                k = deg[pivot]
-                if k not in SPECIAL_PARTNER_BOUND or pivot in false:
-                    continue
-                if not view.has_edge(partner, pivot_far):
-                    continue
-                if deg[partner_far] <= SPECIAL_PARTNER_BOUND[k]:
-                    records.append(SpecialFace(f, pivot, k, partner))
+            if not view.has_edge(partner, pivot_far):
+                continue
+            if deg[partner_far] <= SPECIAL_PARTNER_BOUND[k]:
+                records.append(SpecialFace(f, pivot, k, partner))
     records.sort(key=lambda s: (s.face, s.pivot))
     return records

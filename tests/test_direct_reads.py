@@ -3,7 +3,7 @@
 `_straighten` reads each segment off the false vertex's rotation, the
 corner records read their faces from the dart table, and
 `find_special_faces` reads the original adjacency from the darts and
-each crossing's two segments, its neighborhood's endpoints 0-2 and 1-3.
+each crossing's two segments, its corner records' endpoints A and a.
 The straightening must equal `reference_straighten`, and `references`
 keeps the slicing and the recovered-graph lookup the other two
 replaced; on valid and invalid drawings alike, the results, or the
@@ -31,11 +31,11 @@ from oneplane.oneplanar import (
     ADJACENT_FALSE,
     AssociatedPlaneGraph,
     build_drawing,
-    crossing_neighborhoods,
+    crossing_corners,
     recover_original,
     validate,
 )
-from references import recovered_special_faces, sliced_neighborhoods
+from references import recovered_special_faces, sliced_corners
 from test_acceptance import R6_SAMPLES
 from test_audit import _gadget_drawings
 from test_oneplanar import (
@@ -136,7 +136,7 @@ def assert_reads_as_references(g: AssociatedPlaneGraph):
     """The straightening, the corner records and the special faces equal
     the references', or raise as they do; returns the special faces."""
     assert_straightens_as_reference(g)
-    assert _outcome(crossing_neighborhoods, g) == _outcome(sliced_neighborhoods, g)
+    assert _outcome(crossing_corners, g) == _outcome(sliced_corners, g)
     specials = _outcome(find_special_faces, g)
     assert specials == _outcome(recovered_special_faces, g)
     return specials
@@ -220,7 +220,7 @@ def test_generated_drawings_read_as_the_references(seed, size, density, rng):
     "derive",
     [
         recover_original,
-        crossing_neighborhoods,
+        crossing_corners,
         find_special_faces,
         transitive_corners,
         apply_discharging,

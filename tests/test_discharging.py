@@ -37,8 +37,8 @@ from oneplane.generators import (
     random_oneplane,
 )
 from oneplane.lightedge import HEAVY, check_light_edge_guarantee
-from oneplane.oneplanar import AssociatedPlaneGraph, build_drawing, crossing_neighborhoods
-from references import sliced_neighborhoods
+from oneplane.oneplanar import AssociatedPlaneGraph, Corner, build_drawing, crossing_corners
+from references import sliced_corners
 from test_acceptance import R6_SAMPLES
 from test_audit import _gadget_drawings
 
@@ -173,18 +173,15 @@ def test_transitive_false_vertices():
     assert transitive_corners(build_drawing(K4)) == []
 
 
-def reference_transitive_corners(
-    g: AssociatedPlaneGraph,
-) -> list[tuple[int, int, int, int, int, int, int, int]]:
-    """The face-walk scan `transitive_corners` replaced, as the reference
-    for its filter over the corner records: (face, previous tail, false
-    vertex, next tail) for every position on every face where a false
-    vertex sits between two face-neighbors of degree at least 9, then
-    the previous and the next tail's far ends, read from the false
-    vertex's rotation, and the faces past them, found on the walks as
-    the faces entering the false vertex from the next tail and leaving
-    it toward the previous one. Sorted."""
-    rot, deg = g.embedding.rotation, g.embedding.degrees
+def reference_corners(g: AssociatedPlaneGraph) -> list[Corner]:
+    """The face-walk scan the corner table replaced, as its reference:
+    (face, previous tail, false vertex, next tail) for every position on
+    every face where a false vertex sits, then the previous and the next
+    tail's far ends, read from the false vertex's rotation, and the
+    faces past them, found on the walks as the faces entering the false
+    vertex from the next tail and leaving it toward the previous one.
+    Sorted."""
+    rot = g.embedding.rotation
     false = g.false_vertices
     at = {}  # (previous tail, false vertex, next tail) -> face
     for i, walk in enumerate(g.embedding.faces):
@@ -193,26 +190,32 @@ def reference_transitive_corners(
                 at[walk[j - 1], v, nxt] = i
     out = []
     for (prev, v, nxt), i in at.items():
-        if deg[prev] >= 9 and deg[nxt] >= 9:
-            r = rot[v]
-            a, b = r[(r.index(prev) + 2) % 4], r[(r.index(nxt) + 2) % 4]
-            out.append((i, prev, v, nxt, a, b, at[nxt, v, a], at[b, v, prev]))
+        r = rot[v]
+        a, b = r[(r.index(prev) + 2) % 4], r[(r.index(nxt) + 2) % 4]
+        out.append((i, prev, v, nxt, a, b, at[nxt, v, a], at[b, v, prev]))
     return sorted(out)
 
 
-def assert_corners_as_reference(g: AssociatedPlaneGraph) -> list[tuple[int, ...]]:
-    """Every neighborhood's corner records are read off its endpoints,
-    the false vertex's rotation turned to its lowest id, and its faces,
-    the false vertex's `corner_faces` turned alike, and the transitive
-    corners are the reference's. Returns the transitive corners, sorted."""
-    assert crossing_neighborhoods(g) == sliced_neighborhoods(g)
-    corners = sorted(transitive_corners(g))
-    assert corners == reference_transitive_corners(g)
-    return corners
+def assert_corners_as_reference(g: AssociatedPlaneGraph) -> list[Corner]:
+    """The corner table is read off the false vertex's rotation turned
+    to its lowest id and its `corner_faces` turned alike, and holds the
+    face-walk reference's records; the transitive corners are the
+    reference's records whose two bounding endpoints have degree at
+    least 9. Returns the transitive corners, sorted."""
+    corners = crossing_corners(g)
+    assert corners == sliced_corners(g)
+    reference = reference_corners(g)
+    assert sorted(corners) == reference
+    deg = g.embedding.degrees
+    transitive = sorted(transitive_corners(g))
+    assert transitive == [c for c in reference if deg[c[1]] >= 9 and deg[c[3]] >= 9]
+    return transitive
 
 
-def test_transitive_corners_match_the_face_walk_reference():
+def test_corners_match_the_face_walk_reference():
     drawings = [catalog(name) for name in catalog_names()] + R6_SAMPLES + _gadget_drawings()
+    # the benchmark's quad-large drawing (749 crossings)
+    drawings.append(random_oneplane(GeneratorParams(0, 1001, 0.75)))
     found = [assert_corners_as_reference(g) for g in drawings]
     assert sum(map(bool, found)) >= 20  # the filter is exercised
 
@@ -224,15 +227,17 @@ def test_transitive_corners_match_the_face_walk_reference():
     st.randoms(use_true_random=False),
 )
 @settings(max_examples=40, deadline=None)
-def test_transitive_corners_match_the_reference_on_relabelled_drawings(seed, size, density, rng):
-    # Relabel the vertices by a random permutation, as the relabelling
-    # property does, and pump some true vertices with pendant leaves at
-    # random corners: quadrangulation fills alone have no corner whose
-    # two endpoints both reach degree 9.
+def test_corners_match_the_reference_on_generated_drawings(seed, size, density, rng):
+    # The generated drawing as it is, then relabelled by a random
+    # permutation, as the relabelling property does, with some true
+    # vertices pumped with pendant leaves at random corners:
+    # quadrangulation fills alone have no corner whose two endpoints
+    # both reach degree 9.
     try:
         g = random_oneplane(GeneratorParams(seed, size, density))
     except GenerationFailed:
         reject()
+    assert_corners_as_reference(g)
     labels = list(g.embedding.vertices)
     rng.shuffle(labels)
     vmap = dict(zip(g.embedding.vertices, labels))

@@ -1,4 +1,4 @@
-"""Validation, recovery, crossing neighborhoods, and diagnostics."""
+"""Validation, recovery, crossing corners, and diagnostics."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from gadgets import (
     encircled_gadget,
     squeezed_gadget,
 )
-from neighborhoods import crossing_pairs, endpoints, faces
+from neighborhoods import crossing_pairs, crossings, endpoints, faces
 from oneplane.embedding import MalformedRotation, build_embedding
 from oneplane.generators import (
     GenerationFailed,
@@ -36,7 +36,7 @@ from oneplane.oneplanar import (
     ValidationReport,
     Violation,
     build_drawing,
-    crossing_neighborhoods,
+    crossing_corners,
     drawing_diagnostics,
     recover_original,
     validate,
@@ -109,7 +109,8 @@ def test_embedding_owns_its_rotation_table(seq, via_drawing):
     assert emb.degrees == fresh.degrees
     assert all(emb.corner_faces(v) == fresh.corner_faces(v) for v in emb.vertices)
     assert dumps(g) == dumps(source)
-    assert len(set(crossing_neighborhoods(g))) == 1  # corner records are hashable
+    assert crossing_corners(g) == crossing_corners(source)
+    assert len(set(crossing_corners(g))) == 4  # corner records are hashable
 
 
 def test_plane_triangulation_validates_clean():
@@ -246,7 +247,7 @@ def test_recovery_refuses_a_false_vertex_whose_degree_is_not_4(rotation, false, 
     assert [str(v) for v in validate(g).violations] == [
         f"false-vertex-degree [{f}]: degree {degree}, expected 4"
     ]
-    for derive in (recover_original, crossing_neighborhoods, check_light_edge_guarantee):
+    for derive in (recover_original, crossing_corners, check_light_edge_guarantee):
         assert_refused(g, derive)
 
 
@@ -270,31 +271,35 @@ def test_marks_may_name_every_vertex():
     assert violation_kinds(validate(g)) == {FALSE_DEGREE, ADJACENT_FALSE}
 
 
-def test_crossing_neighborhoods_on_k5():
+def test_crossing_corners_on_k5():
     g = catalog("k5-one-crossing")
-    hoods = crossing_neighborhoods(g)
-    assert len(hoods) == 1
-    hood = hoods[0]
-    assert hood.false_vertex == 5
-    assert endpoints(hood)[0] == min(endpoints(hood))
-    assert crossing_pairs(hood) == frozenset({frozenset({0, 2}), frozenset({1, 3})})
-    assert all(0 <= f < g.embedding.face_count() for f in faces(hood))
-    # each listed face joins consecutive endpoints
+    corners = crossing_corners(g)
+    assert len(corners) == 4
+    assert list(crossings(corners)) == [5]
+    e, fs = endpoints(corners), faces(corners)
+    assert e[0] == min(e)
+    assert crossing_pairs(corners) == frozenset({frozenset({0, 2}), frozenset({1, 3})})
+    assert all(0 <= f < g.embedding.face_count() for f in fs)
+    # each listed face joins consecutive endpoints; each record names
+    # the far ends of its endpoints and the faces of its neighbors
     for i in range(4):
-        tails = set(g.embedding.faces[faces(hood)[i]])
-        assert {hood.false_vertex, endpoints(hood)[i], endpoints(hood)[(i + 1) % 4]} <= tails
+        tails = set(g.embedding.faces[fs[i]])
+        assert {5, e[i], e[(i + 1) % 4]} <= tails
+        far = (e[(i + 2) % 4], e[(i + 3) % 4])
+        past = (fs[(i + 1) % 4], fs[(i - 1) % 4])
+        assert corners[i] == (fs[i], e[i], 5, e[(i + 1) % 4], *far, *past)
 
 
-def test_plane_drawing_has_no_neighborhoods():
-    assert crossing_neighborhoods(build_drawing(K4)) == []
+def test_plane_drawing_has_no_corners():
+    assert crossing_corners(build_drawing(K4)) == ()
 
 
-def test_crossing_neighborhoods_are_derived_once_per_drawing():
+def test_crossing_corners_are_derived_once_per_drawing():
     g = catalog("cube-plus-diagonals")
-    assert crossing_neighborhoods(g) is crossing_neighborhoods(g)
+    assert crossing_corners(g) is crossing_corners(g)
 
 
-def test_validation_recovery_and_light_edges_build_no_neighborhoods():
+def test_validation_recovery_and_light_edges_build_no_corner_table():
     # the corner records are derived apart from the straightening, so
     # the validate, recover and light-edges commands never build them;
     # the first drawing is the benchmark's quad-large one (749 crossings)
@@ -304,23 +309,24 @@ def test_validation_recovery_and_light_edges_build_no_neighborhoods():
         assert validate(g).ok
         recover_original(g)
         check_light_edge_guarantee(g)
-        assert "_neighborhoods" not in vars(g)
-        crossing_neighborhoods(g)
-        assert "_neighborhoods" in vars(g)  # the probe sees a build
+        assert "_corners" not in vars(g)
+        crossing_corners(g)
+        assert "_corners" in vars(g)  # the probe sees a build
 
 
 def test_sorted_false_vertices_are_derived_once_per_drawing(corpus):
     for name, g in corpus:
         assert g.sorted_false_vertices == tuple(sorted(g.false_vertices)), name
         assert g.sorted_false_vertices is g.sorted_false_vertices, name
-    assert [h.false_vertex for h in crossing_neighborhoods(g)] == list(g.sorted_false_vertices)
+        corners = crossing_corners(g)
+        assert [c[2] for c in corners] == [v for v in g.sorted_false_vertices for _ in range(4)], name
 
 
-def test_cube_plus_diagonals_has_six_neighborhoods():
+def test_cube_plus_diagonals_has_six_crossings():
     g = catalog("cube-plus-diagonals")
-    hoods = crossing_neighborhoods(g)
+    hoods = crossings(crossing_corners(g))
     assert len(hoods) == 6
-    pairs = {p for h in hoods for p in crossing_pairs(h)}
+    pairs = {p for records in hoods.values() for p in crossing_pairs(records)}
     assert len(pairs) == 12  # two fresh diagonals per cube face
 
 
@@ -380,14 +386,13 @@ def test_crossing_edge_on_two_triangles_flagged():
     assert CROSSING_EDGE_ON_TWO_TRIANGLES in violation_kinds(report)
 
 
-def test_neighborhood_invariant_under_rotation_of_stored_lists():
+def test_corner_table_invariant_under_rotation_of_stored_lists():
     g = catalog("k6-three-crossings")
-    base = {h.false_vertex: crossing_pairs(h) for h in crossing_neighborhoods(g)}
     rot = {v: list(r) for v, r in g.embedding.rotation.items()}
     for v in g.false_vertices:  # rotating the stored list keeps the embedding
         rot[v] = rot[v][2:] + rot[v][:2]
     g2 = build_drawing(rot, g.false_vertices)
-    assert {h.false_vertex: crossing_pairs(h) for h in crossing_neighborhoods(g2)} == base
+    assert crossing_corners(g2) == crossing_corners(g)
 
 
 @given(st.integers(0, 10_000))
